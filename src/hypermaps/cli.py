@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .constructions import (
@@ -58,11 +57,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _engine_config(args) -> EngineConfig:
-    workers = args.threads
-    if workers is None:
-        env = os.environ.get("HM_THREADS", "")
-        workers = int(env) if env.isdigit() and env != "0" else None
-    return EngineConfig(engine=args.engine, worker_count=workers,
+    return EngineConfig(engine=args.engine, worker_count=args.threads,
                         edge_cap=args.edge_cap)
 
 

@@ -9,10 +9,22 @@ survive:
 
     eps(H^A) = 2c(H) - e(H) + sum_n(H) - f(A) - f(A^c)
 
-so the formula engine reduces to one orbit count per subset, which is done in
-numpy batches (pointer doubling over the composed permutation).  Workers
-split the mask space into contiguous shards and merge by integer addition,
-so output is identical for any worker count.
+so the formula engine reduces to one orbit count of ``psi_A then tau`` per
+subset, done by one numpy kernel with two exact reductions:
+
+* On an orientable hypermap the count runs on one ``<tau, psi>`` orbit (half
+  the labels), where each face pair has exactly one cycle.
+* Subsets come in batches that share the assignment of all but ``k`` "low"
+  hyperedges.  Walking through the fixed hyperedges contracts a batch to a
+  map on the low labels only, plus a count of the cycles that never reach
+  them; the ``2**k`` subsets of the batch are then counted by pointer
+  doubling on the low labels.
+
+Each batch is paired with the batch of the complementary high assignment, so
+f(A) and f(A^c) come out together and only half the batches are counted.
+Workers take steps of pairs from one shared iterator, each into scratch arrays
+of its own that every step reuses, and merge by integer addition, so output
+is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -222,119 +234,184 @@ def eps_of_subset(h: Hypermap, a, engine: str = "formula") -> int:
     return eps_partial_dual_formula(h, sub)
 
 
-# -- the vectorized formula engine -------------------------------------------
+# -- the formula engine: one contracted, paired face-count kernel -------------
+
+# Both chosen by measurement: a larger _K shifts work from the per-batch
+# contraction to the per-subset count; _STEP_LABELS is large enough to amortise
+# numpy call overhead and the GIL hand-offs between workers, and small enough
+# to keep a step's arrays in cache.
+_K = 5  # hyperedges enumerated inside one batch
+_STEP_LABELS = 1 << 17  # labels touched per vectorised step
 
 
-class _Kernel:
-    """Batched spanning-sub face counts for one hypermap."""
+def _orbit_universe(h: Hypermap) -> list[bool]:
+    """Which labels f(A) is counted on: one ``<tau, psi>`` orbit if orientable.
+
+    ``iota`` swaps the two orbits of a connected orientable hypermap and
+    conjugates ``psi_A then tau`` to an inverse, so each orbit carries one
+    cycle of every face pair.
+    """
+    if not h.counts().orientable:
+        return [True] * h.n
+    seen = [False] * h.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in (h.tau(x), h.psi(x)):
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return seen
+
+
+def _jump(nxt: np.ndarray, mins: np.ndarray, tmp: np.ndarray, steps: int) -> np.ndarray:
+    """Pointer doubling on a flat successor array, in place.
+
+    ``mins`` enters holding each label's own index and leaves holding the
+    least label among itself and its next ``2**steps - 1`` successors.
+    Returns whichever of ``nxt`` and ``tmp`` then holds each label's successor
+    ``2**steps`` steps on.  Every index is in range, so ``mode="clip"``
+    changes no result; it lets ``take`` write straight into ``out``, which
+    the default mode fills through a copy.
+    """
+    for _ in range(steps):
+        mins.take(nxt, out=tmp, mode="clip")
+        np.minimum(mins, tmp, out=mins)
+        nxt.take(nxt, out=tmp, mode="clip")
+        nxt, tmp = tmp, nxt
+    return nxt
+
+
+class _ContractedKernel:
+    """Spanning-sub face counts f(A), a batch at a time.
+
+    The ``k`` hyperedges with the fewest universe labels are "low", the rest
+    "high".  A batch fixes the high part of ``A`` and takes all ``2**k`` low
+    parts.  Walking ``psi_A then tau`` through the fixed high labels
+    contracts the batch to one map ``T`` on the low labels (``T(y)`` is the
+    first low label reached from ``tau(y)``) plus a count of the cycles that
+    never leave the high labels; each f(A) of the batch is then an orbit
+    count of ``psi_A then T`` on the low labels alone.
+    """
 
     def __init__(self, h: Hypermap):
-        self.n = h.n
-        self.tau = np.fromiter(h.tau.image, dtype=np.int32, count=h.n)
-        self.psi = np.fromiter(h.psi.image, dtype=np.int32, count=h.n)
-        self.edge_labels = [
-            np.fromiter(sorted(s), dtype=np.int32, count=len(s))
-            for s in h.hyperedge_sets
-        ]
-        self.doublings = max(1, int(np.ceil(np.log2(max(self.n, 2)))))
+        self.halve = not h.counts().orientable
+        in_universe = _orbit_universe(h)
+        edges = sorted(
+            ([x for x in s if in_universe[x]] for s in h.hyperedge_sets), key=len
+        )
+        self.k = k = max(0, min(_K, h.e - 1))
+        labels = [x for s in edges for x in s]
+        self.m = m = len(labels)
+        self.nl = nl = sum(len(s) for s in edges[:k])
+        pos = np.empty(h.n, dtype=np.intp)
+        pos[labels] = np.arange(m)
+        tau = pos[np.array(h.tau.image)[labels]]
+        psi = pos[np.array(h.psi.image)[labels]]
+        edge = np.repeat(np.arange(len(edges)), [len(s) for s in edges])
+        # psi_A on the low labels, one row per low assignment
+        low_on = np.arange(1 << k)[:, None] >> edge[:nl] & 1
+        self.psi_low = np.where(low_on, psi[:nl], np.arange(nl))
+        self.low_ids = np.arange(nl)
+        self.tau_low = tau[:nl]
+        self.tau_high = tau[nl:]
+        self.tau_psi_high = tau[psi[nl:]]
+        self.high_bit = edge[nl:] - k
+        # 2**steps successors must cover a whole orbit; a walk from a high
+        # label also needs the low label it ends on
+        self.high_steps = (m - nl).bit_length()
+        self.low_steps = max(nl - 1, 0).bit_length()
 
-    def face_counts(self, masks: np.ndarray) -> np.ndarray:
-        """f(A) for every mask in ``masks`` (shape [B])."""
-        b = masks.shape[0]
-        psi_a = np.broadcast_to(np.arange(self.n, dtype=np.int32), (b, self.n)).copy()
-        for j, labels in enumerate(self.edge_labels):
-            rows = np.flatnonzero(masks >> j & 1)
-            if rows.size:
-                psi_a[rows[:, None], labels[None, :]] = self.psi[labels]
-        comp = self.tau[psi_a]
-        mins = np.broadcast_to(np.arange(self.n, dtype=np.int32), (b, self.n)).copy()
-        ptr = comp
-        for _ in range(self.doublings):
-            mins = np.minimum(mins, np.take_along_axis(mins, ptr, axis=1))
-            ptr = np.take_along_axis(ptr, ptr, axis=1)
-        orbit_counts = (mins == np.arange(self.n, dtype=np.int32)).sum(axis=1)
-        return (orbit_counts // 2).astype(np.int64)
+    def work_arrays(self, g: int) -> list[np.ndarray]:
+        """Scratch arrays for :meth:`face_counts` on up to ``g`` high parts.
 
+        A worker makes them once and every step reuses them: arrays freed and
+        allocated anew each step make the allocator return the pages to the
+        system and fault them back in, which costs a third of the run time.
+        """
+        size = max(g * self.m, (g << self.k) * self.nl)
+        nxt, tmp, mins = (np.empty(size, dtype=np.intp) for _ in range(3))
+        return [nxt, tmp, mins, np.arange(size), np.empty(size, dtype=bool)]
 
-_BATCH = 4096
-_TABLE_LIMIT = 24  # above this, pair complements on the fly instead of tabulating
-
-
-def _formula_eps_all(h: Hypermap, workers: int) -> np.ndarray:
-    """eps(H^A) for every mask, via the full f-table (small e)."""
-    e = h.e
-    kern = _Kernel(h)
-    total = 1 << e
-    f = np.empty(total, dtype=np.int64)
-
-    def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, _BATCH):
-            stop = min(start + _BATCH, hi)
-            masks = np.arange(start, stop, dtype=np.int64)
-            f[start:stop] = kern.face_counts(masks)
-
-    _run_sharded(fill, total, workers)
-    cb = h.counts()
-    const = 2 * cb.c - cb.e + cb.sum_n
-    return const - f - f[::-1]
-
-
-def _formula_bincount_paired(h: Hypermap, workers: int) -> np.ndarray:
-    """Coefficient array via complement pairing, no full table (large e)."""
-    e = h.e
-    kern = _Kernel(h)
-    cb = h.counts()
-    const = 2 * cb.c - cb.e + cb.sum_n
-    full = (1 << e) - 1
-    half = 1 << (e - 1)
-    width = const + 1  # eps <= 2c - e + sum_n - f_min - f_min, f >= 1... bounded by const
-    acc_per_shard: dict[int, np.ndarray] = {}
-
-    def run(lo: int, hi: int, shard_id: int = 0) -> None:
-        acc = np.zeros(width, dtype=np.int64)
-        for start in range(lo, hi, _BATCH):
-            stop = min(start + _BATCH, hi)
-            masks = np.arange(start, stop, dtype=np.int64)
-            f_lo = kern.face_counts(masks)
-            f_hi = kern.face_counts(full - masks)
-            eps = const - f_lo - f_hi
-            acc += np.bincount(eps, minlength=width) * 2
-        acc_per_shard[shard_id] = acc
-
-    _run_sharded(run, half, workers, with_id=True)
-    out = np.zeros(width, dtype=np.int64)
-    for _, acc in sorted(acc_per_shard.items()):
-        out += acc
-    return out
-
-
-def _run_sharded(fn, total: int, workers: int, with_id: bool = False) -> None:
-    workers = min(workers, max(1, total // _BATCH)) or 1
-    if workers <= 1:
-        if with_id:
-            fn(0, total, 0)
-        else:
-            fn(0, total)
-        return
-    bounds = [total * k // workers for k in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = []
-        for k in range(workers):
-            args = (bounds[k], bounds[k + 1]) + ((k,) if with_id else ())
-            futs.append(pool.submit(fn, *args))
-        for fut in futs:
-            fut.result()
-
-
-def _poly_from_bincount(counts: np.ndarray) -> GenusPolynomial:
-    return GenusPolynomial({int(k): int(v) for k, v in enumerate(counts) if v})
+    def face_counts(self, highs: np.ndarray, work: list[np.ndarray]) -> np.ndarray:
+        """f(A) for every A with high part in ``highs``: shape [len(highs), 2**k]."""
+        g, m, nl = highs.size, self.m, self.nl
+        nxt, tmp, mins, index, leader = work
+        # walk psi_A then tau through the high labels; low labels absorb it
+        size = g * m
+        walk = nxt[:size].reshape(g, m)
+        walk[:, :nl] = self.low_ids
+        on = highs[:, None] >> self.high_bit & 1
+        walk[:, nl:] = np.where(on, self.tau_psi_high, self.tau_high)
+        off = index[:g, None] * m
+        walk += off
+        np.copyto(mins[:size], index[:size])
+        end = _jump(nxt[:size], mins[:size], tmp[:size], self.high_steps)
+        np.equal(mins[:size], index[:size], out=leader[:size])
+        closed = leader[:size].reshape(g, m)[:, nl:].sum(axis=1)
+        t = end.reshape(g, m)[:, self.tau_low] - off
+        # orbit counts of psi_A then T on the low labels, one row per subset
+        rows = g << self.k
+        size = rows * nl
+        t.take(self.psi_low, axis=1, out=nxt[:size].reshape(g, 1 << self.k, nl),
+               mode="clip")
+        walk = nxt[:size].reshape(rows, nl)
+        walk += index[:rows, None] * nl
+        np.copyto(mins[:size], index[:size])
+        _jump(nxt[:size], mins[:size], tmp[:size], self.low_steps)
+        np.equal(mins[:size], index[:size], out=leader[:size])
+        cycles = leader[:size].reshape(rows, nl).sum(axis=1)
+        f = cycles.reshape(g, -1) + closed[:, None]
+        return f // 2 if self.halve else f
 
 
 def _enumerate_formula(h: Hypermap, workers: int) -> GenusPolynomial:
-    if h.e <= _TABLE_LIMIT:
-        eps = _formula_eps_all(h, workers)
-        return _poly_from_bincount(np.bincount(eps))
-    return _poly_from_bincount(_formula_bincount_paired(h, workers))
+    """The polynomial by the formula engine.
+
+    Each high assignment without the top high bit is paired with its
+    complement; reversing the low axis of the second batch lines f(A^c) up
+    with f(A).  Workers take steps of pairs from one shared iterator and
+    merge by integer addition.
+    """
+    cb = h.counts()
+    const = 2 * cb.c - cb.e + cb.sum_n
+    if h.e == 0:  # the empty hypermap: one subset, no faces
+        return GenusPolynomial({const: 1})
+    kern = _ContractedKernel(h)
+    flip = (1 << (h.e - kern.k)) - 1
+    total = (flip + 1) // 2
+    step = _STEP_LABELS // (2 * kern.m + (kern.nl << (kern.k + 1)))
+    step = max(1, min(step, total))
+
+    def run(starts) -> np.ndarray:
+        acc = np.zeros(const + 1, dtype=np.int64)
+        work = kern.work_arrays(2 * step)
+        for start in starts:
+            highs = np.arange(start, min(start + step, total))
+            f = kern.face_counts(np.concatenate([highs, flip - highs]), work)
+            eps = const - f[: highs.size] - f[highs.size:, ::-1]
+            acc += np.bincount(eps.ravel(), minlength=const + 1)
+        return acc
+
+    counts = 2 * _run_shared(run, range(0, total, step), workers)
+    return GenusPolynomial({k: int(v) for k, v in enumerate(counts) if v})
+
+
+def _run_shared(fn, starts: range, workers: int) -> np.ndarray:
+    """The sum of ``fn(it)`` over up to ``workers`` threads that share one
+    iterator ``it`` of ``starts``.
+
+    Each thread takes the next start when it finishes one, so a thread that
+    the machine slows down takes fewer steps instead of holding up the rest.
+    ``next`` on a range iterator is atomic under the GIL.
+    """
+    workers = max(1, min(workers, len(starts)))
+    it = iter(starts)
+    if workers == 1:
+        return fn(it)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(fn, [it] * workers))
 
 
 def _enumerate_direct(h: Hypermap) -> GenusPolynomial:
@@ -386,20 +463,24 @@ def _guard(h: Hypermap, cfg: EngineConfig) -> None:
         )
 
 
-def euler_genus_polynomial(h: Hypermap, cfg: EngineConfig | None = None) -> GenusPolynomial:
-    """The partial-dual Euler-genus polynomial: sum of z^eps(H^A) over all A."""
-    cfg = cfg or EngineConfig()
+def _enumerate(h: Hypermap, cfg: EngineConfig) -> tuple[GenusPolynomial, bool | None]:
+    """The polynomial by the configured engine, and whether the engines agree
+    (``None`` unless both ran).  ``both`` raises when they disagree."""
     _guard(h, cfg)
     if cfg.engine == "direct":
-        return _enumerate_direct(h)
+        return _enumerate_direct(h), None
     poly = _enumerate_formula(h, cfg.workers())
-    if cfg.engine == "both":
-        direct = _enumerate_direct(h)
-        if direct != poly:
-            raise HypermapError(
-                f"engine disagreement: direct {direct} vs formula {poly}"
-            )
-    return poly
+    if cfg.engine == "formula":
+        return poly, None
+    direct = _enumerate_direct(h)
+    if direct != poly:
+        raise HypermapError(f"engine disagreement: direct {direct} vs formula {poly}")
+    return poly, True
+
+
+def euler_genus_polynomial(h: Hypermap, cfg: EngineConfig | None = None) -> GenusPolynomial:
+    """The partial-dual Euler-genus polynomial: sum of z^eps(H^A) over all A."""
+    return _enumerate(h, cfg or EngineConfig())[0]
 
 
 def orientable_genus_polynomial(h: Hypermap, cfg: EngineConfig | None = None) -> GenusPolynomial:
@@ -412,18 +493,8 @@ def orientable_genus_polynomial(h: Hypermap, cfg: EngineConfig | None = None) ->
 def enumerate_partial_duals(h: Hypermap, cfg: EngineConfig | None = None) -> EnumerationResult:
     """Run a full enumeration and package polynomial, spectrum and metadata."""
     cfg = cfg or EngineConfig()
-    _guard(h, cfg)
     t0 = time.perf_counter()
-    engines_agree: bool | None = None
-    if cfg.engine == "direct":
-        poly = _enumerate_direct(h)
-    elif cfg.engine == "formula":
-        poly = _enumerate_formula(h, cfg.workers())
-    else:
-        poly = _enumerate_formula(h, cfg.workers())
-        engines_agree = poly == _enumerate_direct(h)
-        if not engines_agree:
-            raise HypermapError("engine disagreement between direct and formula")
+    poly, engines_agree = _enumerate(h, cfg)
     gamma = poly.halve_exponents() if h.is_orientable() else None
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnumerationResult(

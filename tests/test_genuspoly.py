@@ -1,7 +1,7 @@
 """Polynomial arithmetic, spectra, and the enumeration engines."""
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hypermaps.genuspoly as gp
 from hypermaps.errors import (
@@ -31,8 +31,11 @@ from hypermaps.generators import (
     random_hypertree,
     star,
 )
-from hypermaps.model import disjoint_union
+from hypermaps.model import Hypermap, disjoint_union
+from hypermaps.perm import Permutation
 from hypermaps.walsh import walsh_build
+
+from conftest import random_bipartite_spec
 
 
 def test_poly_arithmetic():
@@ -111,14 +114,30 @@ def test_engines_agree(plane, torus, fig7):
         formula = euler_genus_polynomial(h, EngineConfig(engine="formula"))
         assert direct == formula
         assert direct.eval_at_one() == 2**h.e
+    empty = Hypermap.from_flags(Permutation([]), Permutation([]), Permutation([]))
+    assert euler_genus_polynomial(empty, EngineConfig(engine="both")) == \
+        GenusPolynomial({0: 1})
 
 
-def test_pair_mode_matches_table_mode(monkeypatch, fig7):
-    table = euler_genus_polynomial(fig7)
-    monkeypatch.setattr(gp, "_TABLE_LIMIT", 0)
-    monkeypatch.setattr(gp, "_BATCH", 3)
-    paired = euler_genus_polynomial(fig7)
-    assert paired == table
+def test_paired_batches_match_direct(monkeypatch, fig7, torus):
+    # small steps and few low hyperedges: many batches, pairs split across steps
+    monkeypatch.setattr(gp, "_K", 1)
+    monkeypatch.setattr(gp, "_STEP_LABELS", 1)
+    for h in (fig7, torus, ladder(5), cycle_hypertree(4)):
+        direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+        assert euler_genus_polynomial(h) == direct
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_formula_matches_direct_at_every_k(seed):
+    _, h = walsh_build(random_bipartite_spec(seed, twisted=True))
+    assume(h.is_connected() and h.e <= 10)
+    direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    for k in range(h.e):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gp, "_K", k)
+            assert euler_genus_polynomial(h) == direct
 
 
 def test_worker_count_is_invisible():
@@ -184,13 +203,14 @@ def test_enumeration_result_shape(fig7):
     assert "elapsed_ms" in data
 
 
-def test_sharded_fill_matches_single():
-    h = ladder(6)
-    kern = gp._Kernel(h)
-    masks = np.arange(1 << h.e, dtype=np.int64)
-    whole = kern.face_counts(masks)
-    parts = np.concatenate([kern.face_counts(masks[k::4]) for k in range(4)])
-    assert sorted(parts.tolist()) == sorted(whole.tolist())
-    cb = h.counts()
-    eps = (2 * cb.c - cb.e + cb.sum_n) - whole - whole[::-1]
-    assert int(eps[0]) == cb.eps
+def test_sharded_counts_match_single(monkeypatch):
+    # one pair per step, so every worker count splits the pairs differently
+    monkeypatch.setattr(gp, "_K", 2)
+    monkeypatch.setattr(gp, "_STEP_LABELS", 1)
+    _, twisted = walsh_build(random_bipartite_spec(21, twisted=True))  # e=4
+    assert twisted.e == 4 and not twisted.is_orientable()
+    for h in (ladder(6), twisted):
+        single = gp._enumerate_formula(h, 1)
+        for workers in (2, 3, 5):
+            assert gp._enumerate_formula(h, workers) == single
+        assert single == euler_genus_polynomial(h, EngineConfig(engine="direct"))
