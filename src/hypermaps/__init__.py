@@ -56,10 +56,6 @@ from .genuspoly import (
     eps_of_subset,
     euler_genus_polynomial,
     orientable_genus_polynomial,
-    poly_add,
-    poly_equal,
-    poly_eval_at_one,
-    poly_mul,
     spectrum_report,
     subset_iter,
 )

@@ -20,7 +20,7 @@ from .constructions import (
     subdivide3,
 )
 from .duality import EdgeSubset, dual, partial_dual
-from .errors import HypermapError
+from .errors import HypermapError, MissingLabel
 from .genuspoly import EngineConfig, enumerate_partial_duals, spectrum_report
 from .generators import (
     cycle_hypertree,
@@ -170,8 +170,12 @@ def _cmd_subdivide(args) -> int:
 
 def _cmd_pendant(args) -> int:
     h = _load(args.input)
+    try:
+        at = int(args.at)
+    except ValueError:
+        raise MissingLabel(f"label {args.at!r} is not an integer") from None
     _emit(write_hmf(add_pendant_vertex(h, h.hyperedge_index(args.edge),
-                                       h.internal(int(args.at)))), args.output)
+                                       h.internal(at))), args.output)
     return 0
 
 
@@ -278,7 +282,7 @@ def run(argv: list[str] | None = None) -> int:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(payload), file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateVertexPick,
     EdgeDegreeUnsupported,
     HypermapError,
+    MissingLabel,
 )
 from .duality import EdgeSubset, psi_restricted
 from .genuspoly import (
@@ -26,7 +27,7 @@ from .genuspoly import (
     euler_genus_polynomial,
     eps_of_subset,
 )
-from .model import Hypermap
+from .model import Hypermap, _paired_classes
 from .perm import Permutation
 
 __all__ = [
@@ -96,7 +97,7 @@ def parse_corner(h: Hypermap, text: str) -> CornerRef:
     try:
         vname, lbl = text.split("@", 1)
         label = h.internal(int(lbl))
-    except (ValueError, IndexError):
+    except (ValueError, MissingLabel):
         raise BadCorner(f"cannot parse corner {text!r}; expected name@label")
     corner = CornerRef(h.vertex_index(vname.strip()), label)
     corner.validate(h)
@@ -226,40 +227,19 @@ def join(h1: Hypermap, c1: CornerRef, h2: Hypermap, c2: CornerRef) -> Hypermap:
 # -- bar-amalgamation ---------------------------------------------------------
 
 
-def _orientation_classes(h: Hypermap) -> list[int] | None:
-    """2-coloring of labels by <tau, psi>-orbit, or None if non-orientable."""
-    if not h.is_orientable():
-        return None
-    color = [-1] * h.n
-    next_color = 0
-    for start in range(h.n):
-        if color[start] != -1:
-            continue
-        stack = [start]
-        color[start] = next_color
-        while stack:
-            x = stack.pop()
-            for y in (h.tau(x), h.psi(x)):
-                if color[y] == -1:
-                    color[y] = next_color
-                    stack.append(y)
-        next_color += 1
-    return color
-
-
 def _normalize_side(h: Hypermap, picks: Sequence[CornerRef]) -> list[CornerRef]:
     """Re-address corners so all picked labels share one orientation side.
 
     ``label`` and ``iota(tau^-1(label))`` address the same geometric corner
     from the two sides; face-class membership is unchanged by the swap.
     """
-    color = _orientation_classes(h)
-    if color is None:
+    if not h.is_orientable():
         return list(picks)
-    want = color[picks[0].label]
+    side = h.sides()
+    want = side[picks[0].label]
     out = []
     for c in picks:
-        if color[c.label] == want:
+        if side[c.label] == want:
             out.append(c)
         else:
             relabeled = h.iota(h.tau.inverse()(c.label))
@@ -324,22 +304,11 @@ def face_class_of_labels(h: Hypermap, a) -> list[int]:
     orbits of ``then(psi_A, tau)`` grouped into mirror pairs.
     """
     psi_a = psi_restricted(h, a)
-    taup = psi_a.then(h.tau)
-    iotap = psi_a.then(h.iota)
-    orbit_of = [-1] * h.n
-    for idx, cyc in enumerate(taup.orbits()):
-        for x in cyc:
-            orbit_of[x] = idx
-    class_of = [-1] * h.n
-    next_id = 0
-    for x in range(h.n):
-        if class_of[x] != -1:
-            continue
-        mine, partner = orbit_of[x], orbit_of[iotap(x)]
-        for y in range(h.n):
-            if orbit_of[y] in (mine, partner):
-                class_of[y] = next_id
-        next_id += 1
+    classes = _paired_classes(psi_a.then(h.tau), psi_a.then(h.iota), "face")
+    class_of = [0] * h.n
+    for i, labels in enumerate(classes):
+        for x in labels:
+            class_of[x] = i
     return class_of
 
 

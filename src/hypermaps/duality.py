@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import HypermapError, NotConnected, NotOrientable
-from .model import DisjointSet, Hypermap
+from .model import Hypermap, _component_keys, _orbit_sides
 from .perm import Permutation
 
 __all__ = [
@@ -66,7 +66,11 @@ class EdgeSubset:
         if text in ("", "-"):
             return cls.empty(h)
         if text.startswith("0b"):
-            return cls(int(text, 2), h.e)
+            try:
+                mask = int(text, 2)
+            except ValueError:
+                raise HypermapError(f"{text!r} is not a bitmask") from None
+            return cls(mask, h.e)
         return cls.of(h, (h.hyperedge_index(nm.strip()) for nm in text.split(",")))
 
     def complement(self) -> "EdgeSubset":
@@ -165,15 +169,9 @@ def spanning_counts(h: Hypermap, a) -> SpanningSubCounts:
     vertices, isolated ones included.
     """
     sub = _as_subset(h, a)
-    f = psi_restricted(h, sub).then(h.tau).orbit_count() // 2
-    ds = DisjointSet(h.v)
-    for i in sub.edges():
-        incident = {h.vertex_of(x) for x in h.hyperedge_sets[i]}
-        it = iter(incident)
-        first = next(it)
-        for other in it:
-            ds.union(first, other)
-    c = len(ds.roots())
+    psi_a = psi_restricted(h, sub)
+    f = psi_a.then(h.tau).orbit_count() // 2
+    c = len(set(_component_keys(_orbit_sides(h.tau, psi_a), h.iota)))
     e_a = len(sub)
     sum_n = sum(len(h.hyperedge_sets[i]) for i in sub.edges()) // 2
     chi = h.v + e_a + f - sum_n

@@ -24,8 +24,6 @@ __all__ = [
     "plane_example",
     "torus_example",
     "fig7_example",
-    "plane_bipartite_bmf",
-    "torus_bipartite_bmf",
     "ladder",
     "ladder_tree",
     "cycle_hypertree",
@@ -170,21 +168,11 @@ edge b13 + E
 """
 
 
-def plane_bipartite_bmf() -> str:
-    return PLANE_BMF
-
-
-def torus_bipartite_bmf() -> str:
-    return TORUS_BMF
-
-
 def example(tag: str) -> Hypermap:
     """Bundled example by tag: plane_example, torus_example or fig7."""
     builders = {
         "plane_example": plane_example,
-        "plane": plane_example,
         "torus_example": torus_example,
-        "torus": torus_example,
         "fig7": fig7_example,
     }
     if tag not in builders:

@@ -57,10 +57,6 @@ __all__ = [
     "orientable_genus_polynomial",
     "enumerate_partial_duals",
     "spectrum_report",
-    "poly_add",
-    "poly_mul",
-    "poly_eval_at_one",
-    "poly_equal",
 ]
 
 _COEFF_MAX = 2**64 - 1
@@ -151,22 +147,6 @@ class GenusPolynomial:
         return f"GenusPolynomial({self._c!r})"
 
 
-def poly_add(p: GenusPolynomial, q: GenusPolynomial) -> GenusPolynomial:
-    return p.add(q)
-
-
-def poly_mul(p: GenusPolynomial, q: GenusPolynomial) -> GenusPolynomial:
-    return p.mul(q)
-
-
-def poly_eval_at_one(p: GenusPolynomial) -> int:
-    return p.eval_at_one()
-
-
-def poly_equal(p: GenusPolynomial, q: GenusPolynomial) -> bool:
-    return p == q
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Exponent set of a polynomial, its gaps, and whether it interpolates."""
@@ -244,27 +224,6 @@ _K = 5  # hyperedges enumerated inside one batch
 _STEP_LABELS = 1 << 17  # labels touched per vectorised step
 
 
-def _orbit_universe(h: Hypermap) -> list[bool]:
-    """Which labels f(A) is counted on: one ``<tau, psi>`` orbit if orientable.
-
-    ``iota`` swaps the two orbits of a connected orientable hypermap and
-    conjugates ``psi_A then tau`` to an inverse, so each orbit carries one
-    cycle of every face pair.
-    """
-    if not h.counts().orientable:
-        return [True] * h.n
-    seen = [False] * h.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in (h.tau(x), h.psi(x)):
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return seen
-
-
 def _jump(nxt: np.ndarray, mins: np.ndarray, tmp: np.ndarray, steps: int) -> np.ndarray:
     """Pointer doubling on a flat successor array, in place.
 
@@ -296,10 +255,16 @@ class _ContractedKernel:
     """
 
     def __init__(self, h: Hypermap):
+        # On an orientable map f(A) is counted on one <tau, psi> orbit: iota
+        # swaps the two orbits of a connected orientable hypermap and
+        # conjugates psi_A then tau to an inverse, so each orbit carries one
+        # cycle of every face pair.
         self.halve = not h.counts().orientable
-        in_universe = _orbit_universe(h)
+        side = h.sides()
         edges = sorted(
-            ([x for x in s if in_universe[x]] for s in h.hyperedge_sets), key=len
+            ([x for x in s if self.halve or side[x] == side[0]]
+             for s in h.hyperedge_sets),
+            key=len,
         )
         self.k = k = max(0, min(_K, h.e - 1))
         labels = [x for s in edges for x in s]

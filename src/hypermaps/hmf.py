@@ -37,7 +37,12 @@ def read_hmf(text: str) -> Hypermap:
                 raise CycleFormatError(f"line {lineno}: unsupported hmf version")
             saw_header = True
         elif kind == "labels":
-            declared_n = int(parts[1])
+            try:
+                declared_n = int(parts[1])
+            except (IndexError, ValueError):
+                raise CycleFormatError(
+                    f"line {lineno}: 'labels' needs an integer count"
+                ) from None
         elif kind in ("vertex", "hyperedge"):
             if len(parts) < 3:
                 raise CycleFormatError(f"line {lineno}: missing name or cycles")
@@ -49,6 +54,8 @@ def read_hmf(text: str) -> Hypermap:
             target = vertex_lines if kind == "vertex" else hyperedge_lines
             target.append((parts[1], cycles))
         elif kind == "iota":
+            if len(parts) < 2:
+                raise CycleFormatError(f"line {lineno}: 'iota' needs its 2-cycles")
             iota_pairs = parse_cycle_lists(line.split(None, 1)[1])
             if any(len(c) != 2 for c in iota_pairs):
                 raise CycleFormatError(f"line {lineno}: iota must be 2-cycles")

@@ -28,38 +28,9 @@ from .perm import Permutation, format_cycles
 __all__ = [
     "CountsBundle",
     "Hypermap",
-    "DisjointSet",
     "solve_iota",
     "disjoint_union",
 ]
-
-
-class DisjointSet:
-    """Union-find over ``0..n-1`` with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-    def roots(self) -> list[int]:
-        return [x for x in range(len(self.parent)) if self.find(x) == x]
 
 
 @dataclass(frozen=True)
@@ -103,6 +74,36 @@ def _axiom_check(tau: Permutation, psi: Permutation, iota: Permutation) -> None:
             raise HypermapError(f"mirror axiom fails for tau at label {x}")
         if iota(psi(iota(x))) != psi_inv(x):
             raise HypermapError(f"mirror axiom fails for psi at label {x}")
+
+
+def _orbit_sides(tau: Permutation, psi: Permutation) -> tuple[int, ...]:
+    """The ``<tau, psi>`` orbit of every label, orbits numbered in order of
+    their least label."""
+    t, p = tau.image, psi.image
+    side = [-1] * len(t)
+    count = 0
+    for start in range(len(t)):
+        if side[start] != -1:
+            continue
+        side[start] = count
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in (t[x], p[x]):
+                if side[y] == -1:
+                    side[y] = count
+                    stack.append(y)
+        count += 1
+    return tuple(side)
+
+
+def _component_keys(side: Sequence[int], iota: Permutation) -> list[int]:
+    """A key per label, equal exactly for labels of one component.
+
+    ``iota`` conjugates ``tau`` and ``psi`` to their inverses, so a label's
+    component is its ``<tau, psi>`` orbit together with that of ``iota(x)``.
+    """
+    return [min(s, side[y]) for s, y in zip(side, iota.image)]
 
 
 def _paired_classes(perm: Permutation, iota: Permutation, kind: str):
@@ -153,6 +154,7 @@ class Hypermap:
         "_hyperedge_of",
         "_counts",
         "_components",
+        "_sides",
     )
 
     def __init__(self, tau, psi, iota, vertex_sets, hyperedge_sets,
@@ -177,6 +179,7 @@ class Hypermap:
         self._hyperedge_of = tuple(eof)
         self._counts = None
         self._components = None
+        self._sides = None
 
     # -- construction -------------------------------------------------------
 
@@ -294,10 +297,10 @@ class Hypermap:
         return self._hyperedge_of[label]
 
     def vertex_index(self, name: str) -> int:
-        return self.vertex_names.index(name)
+        return _index_of(self.vertex_names, name, "vertex")
 
     def hyperedge_index(self, name: str) -> int:
-        return self.hyperedge_names.index(name)
+        return _index_of(self.hyperedge_names, name, "hyperedge")
 
     def vertex_cycle(self, i: int) -> tuple[int, ...]:
         """One of vertex ``i``'s two mirror cycles (through its least label)."""
@@ -318,7 +321,7 @@ class Hypermap:
         return self.label_names[label]
 
     def internal(self, external: int) -> int:
-        return self.label_names.index(external)
+        return _index_of(self.label_names, external, "label")
 
     def format_tau(self) -> str:
         return format_cycles(self.tau, self.label_names)
@@ -371,22 +374,23 @@ class Hypermap:
                                         self.is_orientable())
         return self._counts
 
+    def sides(self) -> tuple[int, ...]:
+        """The ``<tau, psi>`` orbit of every label, numbered in order of least
+        label.  On an orientable hypermap these are the two orientation sides
+        of each component."""
+        if self._sides is None:
+            self._sides = _orbit_sides(self.tau, self.psi)
+        return self._sides
+
     def components(self) -> tuple[int, ...]:
         """Component index for every vertex (indices are 0-based, dense)."""
         if self._components is None:
-            ds = DisjointSet(self.v)
-            for s in self.hyperedge_sets:
-                incident = {self._vertex_of[x] for x in s}
-                it = iter(incident)
-                first = next(it)
-                for other in it:
-                    ds.union(first, other)
-            roots = {}
-            assignment = []
-            for i in range(self.v):
-                r = ds.find(i)
-                assignment.append(roots.setdefault(r, len(roots)))
-            self._components = tuple(assignment)
+            keys = _component_keys(self.sides(), self.iota)
+            ids: dict[int, int] = {}
+            self._components = tuple(
+                ids.setdefault(keys[next(iter(s))], len(ids))
+                for s in self.vertex_sets
+            )
         return self._components
 
     def component_count(self) -> int:
@@ -397,27 +401,9 @@ class Hypermap:
         return self.component_count() <= 1
 
     def is_orientable(self) -> bool:
-        """True iff every component's labels split into two <tau, psi>-orbits."""
-        comp = self.components()
-        n_comp = self.component_count()
-        seen = [False] * self.n
-        orbits_per_comp = [0] * n_comp
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            ci = comp[self._vertex_of[start]]
-            orbits_per_comp[ci] += 1
-            if orbits_per_comp[ci] > 2:
-                return False
-            stack = [start]
-            seen[start] = True
-            while stack:
-                x = stack.pop()
-                for y in (self.tau(x), self.psi(x)):
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append(y)
-        return all(k == 2 for k in orbits_per_comp)
+        """True iff no label shares its ``<tau, psi>`` orbit with its mirror."""
+        side = self.sides()
+        return all(side[x] != side[y] for x, y in enumerate(self.iota.image))
 
     def orientable_genus(self) -> int:
         cb = self.counts()
@@ -503,6 +489,13 @@ class Hypermap:
         return self.canonical_signature() == other.canonical_signature()
 
 
+def _index_of(values: tuple, value, kind: str) -> int:
+    try:
+        return values.index(value)
+    except ValueError:
+        raise MissingLabel(f"no {kind} {value!r}") from None
+
+
 def _collect_labels(pairs, kind: str) -> set[int]:
     seen: set[int] = set()
     for a, b in pairs:
@@ -571,22 +564,33 @@ def solve_iota(tau: Permutation, psi: Permutation,
             iota[x] = -1
             iota[y] = -1
 
-    def search() -> bool:
-        x = next((i for i in range(n) if iota[i] == -1), None)
-        if x is None:
-            return True
-        candidates = sorted(partner_v[x] & partner_e[x])
-        for y in candidates:
-            if iota[y] != -1:
-                continue
-            trail: list[int] = []
-            if assign(x, y, trail) and search():
-                return True
-            undo(trail)
-        return False
+    def unbound_from(x: int) -> int:
+        while x < n and iota[x] != -1:
+            x += 1
+        return x
 
-    if not search():
-        raise IotaUnsolvable("no side pairing satisfies the mirror constraints")
+    def level(x: int):
+        """A search level: label ``x``, its untried candidates, and the
+        bindings made by the candidate being tried."""
+        return x, iter(sorted(partner_v[x] & partner_e[x])), []
+
+    # Depth-first search on an explicit stack.  Every label below a level's
+    # label is bound, so the next level's label is found by scanning forward.
+    x = unbound_from(0)
+    levels = [level(x)] if x < n else []
+    while x < n:
+        if not levels:
+            raise IotaUnsolvable("no side pairing satisfies the mirror constraints")
+        x, candidates, trail = levels[-1]
+        undo(trail)
+        trail.clear()
+        y = next((y for y in candidates if iota[y] == -1), None)
+        if y is None:
+            levels.pop()
+        elif assign(x, y, trail):
+            x = unbound_from(x + 1)
+            if x < n:
+                levels.append(level(x))
     return Permutation(iota)
 
 

@@ -178,9 +178,6 @@ class Permutation:
 
     # -- predicates and small queries --------------------------------------
 
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self._img))
-
     def is_involution(self) -> bool:
         return all(self._img[y] == x for x, y in enumerate(self._img))
 
@@ -219,10 +216,13 @@ def parse_cycle_lists(text: str) -> list[list[int]]:
             if current:  # "()" is the identity marker and adds no cycle
                 cycles.append(current)
             current = None
-        elif t.isdigit():
+        elif t.isdecimal():
             if current is None:
                 raise CycleFormatError(f"label {t} outside any cycle")
-            label = int(t)
+            try:
+                label = int(t)
+            except ValueError:  # more digits than int() converts
+                raise CycleFormatError(f"label of {len(t)} digits") from None
             if label <= 0:
                 raise CycleFormatError("labels must be positive integers")
             current.append(label)

@@ -1,9 +1,16 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from hypermaps.generators import fig7_example, plane_example, torus_example
-from hypermaps.walsh import BipartiteEdge, BipartiteMapSpec, BipartiteVertex
+from hypermaps.model import disjoint_union
+from hypermaps.walsh import (
+    BipartiteEdge,
+    BipartiteMapSpec,
+    BipartiteVertex,
+    walsh_build,
+)
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +78,41 @@ def random_bipartite_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
         for nm in edges
     ]
     return BipartiteMapSpec(tuple(vertices), tuple(spec_edges))
+
+
+def incidence_components(h, edges) -> int:
+    """Components of the vertex-hyperedge incidence graph on ``edges``,
+    isolated vertices counted, by breadth-first search."""
+    touching = [[] for _ in range(h.v)]
+    members = []
+    for k, i in enumerate(edges):
+        members.append({h.vertex_of(x) for x in h.hyperedge_sets[i]})
+        for u in members[-1]:
+            touching[u].append(k)
+    seen = [False] * h.v
+    count = 0
+    for start in range(h.v):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = [start]
+        for u in queue:
+            for k in touching[u]:
+                for w in members[k]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+    return count
+
+
+def _spec_map(seed: int):
+    return walsh_build(random_bipartite_spec(seed, twisted=True))[1]
+
+
+# A twisted random map, or the disjoint union of two.
+spec_maps = st.one_of(
+    st.builds(_spec_map, st.integers(0, 10**6)),
+    st.builds(lambda a, b: disjoint_union(_spec_map(a), _spec_map(b)),
+              st.integers(0, 10**6), st.integers(0, 10**6)),
+)

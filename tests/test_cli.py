@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from hypermaps.cli import run
-from hypermaps.hmf import read_hmf
+from hypermaps.generators import fig7_example
+from hypermaps.hmf import read_hmf, write_hmf
 
 
 def invoke(capsys, *argv):
@@ -146,6 +147,37 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "DuplicateLabel"
+
+
+_BODY = "vertex v (1) (2)\nhyperedge e (1) (2)\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["pdual", "{f}", "-A", "e99"], None, id="pdual-unknown-edge"),
+    pytest.param(["pdual", "{f}", "-A", "0b2"], None, id="pdual-bad-bitmask"),
+    pytest.param(["subdivide", "{f}", "-e", "nope"], None, id="subdivide-unknown-edge"),
+    pytest.param(["pendant", "{f}", "-e", "e1", "--at", "999"], None,
+                 id="pendant-unknown-label"),
+    pytest.param(["pendant", "{f}", "-e", "e1", "--at", "x"], None,
+                 id="pendant-non-integer-label"),
+    pytest.param(["join", "{f}", "{f}", "--at", "nope@1", "--at2", "v1@17"], None,
+                 id="join-unknown-vertex"),
+    pytest.param(["amalgamate", "{f}", "{f}", "--at", "v1@17", "--at2", "v1@17",
+                  "--edge1", "nope"], None, id="amalgamate-unknown-edge"),
+    pytest.param(["info", "{f}"], "hmf 1\nlabels abc\n" + _BODY, id="hmf-labels-abc"),
+    pytest.param(["info", "{f}"], "hmf 1\nlabels\n" + _BODY, id="hmf-bare-labels"),
+    pytest.param(["info", "{f}"], "hmf 1\n" + _BODY + "iota\n", id="hmf-bare-iota"),
+    pytest.param(["info", "{f}"], b"hmf 1\n\xff\n", id="input-not-utf8"),
+])
+def test_bad_request_is_a_json_domain_error(capsys, tmp_path, argv, text):
+    path = tmp_path / "in.hmf"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(write_hmf(fig7_example()) if text is None else text)
+    code, out, err = invoke(capsys, *(a.replace("{f}", str(path)) for a in argv))
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)
 
 
 def test_usage_error_exit_code():

@@ -1,6 +1,7 @@
 """Join, bar-amalgamation, subdivision and pendant vertices."""
 
 import pytest
+from hypothesis import given, settings
 
 from hypermaps.constructions import (
     AmalgamationPicks,
@@ -12,11 +13,12 @@ from hypermaps.constructions import (
     check_pendant_invariance,
     check_subdivision,
     corner_face_count,
+    face_class_of_labels,
     join,
     parse_corner,
     subdivide3,
 )
-from hypermaps.duality import EdgeSubset
+from hypermaps.duality import EdgeSubset, partial_dual
 from hypermaps.errors import (
     BadCorner,
     DuplicateVertexPick,
@@ -29,6 +31,8 @@ from hypermaps.generators import (
     ladder_tree,
     star,
 )
+
+from conftest import spec_maps
 
 
 def corner(h, v):
@@ -149,8 +153,6 @@ def test_corner_face_count_trivial(fig7):
 
 def test_corner_readdressing_keeps_face_class(fig7):
     # a corner label and its mirror address name the same face class
-    from hypermaps.constructions import face_class_of_labels
-
     for mask in range(1 << fig7.e):
         classes = face_class_of_labels(fig7, mask)
         for x in range(fig7.n):
@@ -252,3 +254,15 @@ def test_constructions_validate(fig7):
         again = Hypermap.from_flags(out.tau, out.psi, out.iota,
                                     hyperedge_sets=out.hyperedge_sets)
         assert again.counts() == out.counts()
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=spec_maps)
+def test_face_classes_are_partial_dual_vertex_classes(h):
+    # ids number the classes in order of their least label
+    for mask in range(1, min(1 << h.e, 65)):
+        expected = [0] * h.n
+        for i, s in enumerate(sorted(partial_dual(h, mask).vertex_sets, key=min)):
+            for x in s:
+                expected[x] = i
+        assert face_class_of_labels(h, mask) == expected

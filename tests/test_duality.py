@@ -1,6 +1,7 @@
 """Partial duality: the dual construction, spanning subs, genus formulas."""
 
 import pytest
+from hypothesis import given, settings
 
 from hypermaps.duality import (
     EdgeSubset,
@@ -17,6 +18,8 @@ from hypermaps.errors import HypermapError, NotConnected
 from hypermaps.generators import ladder, star
 from hypermaps.model import disjoint_union
 from hypermaps.perm import format_cycles, parse_cycles
+
+from conftest import incidence_components, spec_maps
 
 FIG7_TAU_DUAL = "(1,3,9,5,7,13,19,17,21)(2,22,18,20,14,8,6,10,4)(11,23,15)(12,16,24)"
 
@@ -146,3 +149,11 @@ def test_formulas_require_connected(plane):
         chi_partial_dual_formula(two, 0)
     with pytest.raises(NotConnected):
         eps_partial_dual_formula(two, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=spec_maps)
+def test_spanning_components_match_incidence_bfs(h):
+    for mask in range(min(1 << h.e, 64)):
+        sub = EdgeSubset(mask, h.e)
+        assert spanning_counts(h, sub).c == incidence_components(h, sub.edges())

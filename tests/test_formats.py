@@ -1,8 +1,14 @@
 """HMF and BMF text formats, and the Walsh builder."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hypermaps.errors import CycleFormatError, DuplicateLabel, MissingLabel
+from hypermaps.errors import (
+    CycleFormatError,
+    DuplicateLabel,
+    HypermapError,
+    MissingLabel,
+)
 from hypermaps.generators import (
     PLANE_BMF,
     TORUS_BMF,
@@ -10,6 +16,7 @@ from hypermaps.generators import (
     ladder,
 )
 from hypermaps.hmf import read_hmf, write_hmf
+from hypermaps.model import Hypermap
 from hypermaps.perm import format_cycles, parse_cycles
 from hypermaps.walsh import (
     BipartiteEdge,
@@ -19,6 +26,8 @@ from hypermaps.walsh import (
     walsh_build,
     write_bmf,
 )
+
+from conftest import spec_maps
 
 PRINTED = {
     "plane_tau": "(1,5)(2,6)(9,47,31)(10,32,48)(15,43)(16,44)(19,21,39)(20,40,22)(25,33)(26,34)",
@@ -131,3 +140,50 @@ def test_hmf_errors():
         read_hmf("hmf 1\nlabels 6\nvertex v (1) (2)\nhyperedge e (1) (2)\n")
     with pytest.raises(MissingLabel):
         read_hmf("hmf 1\nvertex v (1) (2)\nhyperedge e (1) (3)\n")
+    body = "vertex v (1) (2)\nhyperedge e (1) (2)\n"
+    for line in ("labels abc", "labels", "iota", "vertex w (1 \u00b2) (3 4)",
+                 "vertex w (" + "7" * 5000 + ") (3)"):
+        with pytest.raises(CycleFormatError):
+            read_hmf(f"hmf 1\n{line}\n{body}")
+
+
+def test_hmf_without_iota_many_components():
+    # one search level of the iota solver per component
+    k = 1200
+    text = "hmf 1\n" + "".join(
+        f"vertex v{i} ({2 * i - 1}) ({2 * i})\nhyperedge e{i} ({2 * i - 1}) ({2 * i})\n"
+        for i in range(1, k + 1)
+    )
+    h = read_hmf(text)
+    assert h.label_names == tuple(range(1, 2 * k + 1))
+    assert h.iota.image == tuple(x ^ 1 for x in range(2 * k))
+    assert h.component_count() == k
+
+
+# Valid and broken HMF directives over the labels 1..6.
+_HMF_LINES = (
+    "hmf 1", "hmf 2", "hmf", "labels 2", "labels 6", "labels", "labels abc",
+    "vertex a (1) (2)", "vertex b (3 5) (4 6)", "vertex x", "vertex x (1 2)",
+    "vertex x (1 \u00b2) (3 4)", "hyperedge p (1) (2)", "hyperedge s (3 5) (6 4)",
+    "hyperedge t (1 9) (2 8)", "iota (1 2)", "iota (1 2)(3 4)(5 6)", "iota",
+    "iota (1 2 3)", "iota (1 1)", "# comment", "",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=spec_maps, drop=st.sets(st.integers(0, 40), max_size=3),
+       insert=st.lists(st.tuples(st.integers(0, 40),
+                                 st.one_of(st.sampled_from(_HMF_LINES),
+                                           st.text(max_size=12))),
+                       max_size=3))
+def test_read_hmf_fails_only_with_domain_errors(h, drop, insert):
+    # the HMF of a random map, with lines dropped and others put in
+    lines = [line for i, line in enumerate(write_hmf(h).splitlines())
+             if i not in drop]
+    for at, line in insert:
+        lines.insert(at % (len(lines) + 1), line)
+    try:
+        out = read_hmf("\n".join(lines))
+    except HypermapError:
+        return
+    assert isinstance(out, Hypermap)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypermaps.errors import (
     DuplicateLabel,
@@ -16,7 +17,7 @@ from hypermaps.errors import (
 from hypermaps.model import Hypermap, disjoint_union, solve_iota
 from hypermaps.perm import Permutation
 
-from conftest import random_bipartite_spec
+from conftest import incidence_components, random_bipartite_spec, spec_maps
 from hypermaps.walsh import walsh_build
 
 
@@ -91,6 +92,61 @@ def test_solver_solvable_when_aligned():
     hyperedge_pairs = [([0], [3]), ([1], [5]), ([2], [4])]
     h = Hypermap.from_parts(vertex_pairs, hyperedge_pairs)
     assert h.counts().chi == 2
+
+
+def _random_declaration(seed: int):
+    """Random vertex and hyperedge cycle pairs on at most 8 labels, which
+    split into two blocks of interleaved labels that no pair crosses."""
+    rng = random.Random(seed)
+    n = 2 * rng.randint(1, 4)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    cut = 2 * rng.randint(0, n // 2)
+
+    def pairs():
+        out = []
+        for block in (labels[:cut], labels[cut:]):
+            block = block[:]
+            rng.shuffle(block)
+            while block:
+                k = rng.randint(1, len(block) // 2)
+                out.append((block[:k], block[k:2 * k]))
+                del block[:2 * k]
+        return out
+
+    return n, pairs(), pairs()
+
+
+def _pairings(labels):
+    """Every fixed-point-free involution on ``labels``, as a dict."""
+    if not labels:
+        yield {}
+        return
+    a, rest = labels[0], labels[1:]
+    for b in rest:
+        for m in _pairings([x for x in rest if x != b]):
+            yield {a: b, b: a, **m}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_solver_finds_least_valid_pairing(seed):
+    n, vp, ep = _random_declaration(seed)
+    tau = Permutation.from_cycles([c for p in vp for c in p], n)
+    psi = Permutation.from_cycles([c for p in ep for c in p], n)
+    tau_inv, psi_inv = tau.inverse(), psi.inverse()
+    valid = []
+    for m in _pairings(list(range(n))):
+        iota = [m[x] for x in range(n)]
+        if (all(iota[tau[iota[x]]] == tau_inv[x] and iota[psi[iota[x]]] == psi_inv[x]
+                for x in range(n))
+                and all({iota[x] for x in a} == set(b) for a, b in vp + ep)):
+            valid.append(tuple(iota))
+    if valid:
+        assert solve_iota(tau, psi, vp, ep).image == min(valid)
+    else:
+        with pytest.raises(IotaUnsolvable):
+            solve_iota(tau, psi, vp, ep)
 
 
 def test_from_parts_errors():
@@ -177,3 +233,26 @@ def test_random_specs_preserve_characteristic():
         assert h.counts().f == m.counts().f
         assert h.counts().eps >= 0
         assert h.n == 2 * h.counts().sum_n
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=spec_maps)
+def test_components_match_incidence_bfs(h):
+    comp = h.components()
+    assert h.component_count() == incidence_components(h, range(h.e))
+    # dense ids, numbered in order of each component's first vertex
+    firsts = [comp.index(k) for k in range(h.component_count())]
+    assert firsts == sorted(firsts)
+    for s in h.hyperedge_sets:
+        assert len({comp[h.vertex_of(x)] for x in s}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(0, 10**6), b=st.integers(0, 10**6),
+       twist_a=st.booleans(), twist_b=st.booleans())
+def test_union_orientable_iff_both_parts(a, b, twist_a, twist_b):
+    _, h1 = walsh_build(random_bipartite_spec(a, twisted=twist_a))
+    _, h2 = walsh_build(random_bipartite_spec(b, twisted=twist_b))
+    both = disjoint_union(h1, h2)
+    assert both.is_orientable() == (h1.is_orientable() and h2.is_orientable())
+    assert both.counts().orientable == both.is_orientable()
