@@ -67,12 +67,12 @@ def _axiom_check(tau: Permutation, psi: Permutation, iota: Permutation) -> None:
         raise HypermapError(f"label universe must be even, got {n}")
     if not iota.is_involution() or not iota.is_fixed_point_free():
         raise HypermapError("iota must be a fixed-point-free involution")
-    tau_inv = tau.inverse()
-    psi_inv = psi.inverse()
+    # iota(tau(iota(x))) == tau^-1(x) exactly when tau maps that label back to x
+    t, p, i = tau.image, psi.image, iota.image
     for x in range(n):
-        if iota(tau(iota(x))) != tau_inv(x):
+        if t[i[t[i[x]]]] != x:
             raise HypermapError(f"mirror axiom fails for tau at label {x}")
-        if iota(psi(iota(x))) != psi_inv(x):
+        if p[i[p[i[x]]]] != x:
             raise HypermapError(f"mirror axiom fails for psi at label {x}")
 
 

@@ -43,8 +43,20 @@ class Permutation:
         object.__setattr__(self, "_img", img)
 
     @classmethod
+    def _of(cls, image: Iterable[int]) -> "Permutation":
+        """A permutation on an image that is a bijection by construction.
+
+        Skips the bijection check of the public constructor; only the
+        products and constructors of this class, whose results are
+        bijections whenever their operands are, call it.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "_img", tuple(image))
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        return cls._of(range(n))
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Sequence[int]], size: int) -> "Permutation":
@@ -60,7 +72,7 @@ class Permutation:
                 touched[x] = True
             for i, x in enumerate(cyc):
                 img[x] = cyc[(i + 1) % len(cyc)]
-        return cls(img)
+        return cls._of(img)
 
     @classmethod
     def random(cls, n: int, rng: random.Random | None = None) -> "Permutation":
@@ -106,13 +118,13 @@ class Permutation:
         if other.size != self.size:
             raise SizeMismatch(f"sizes differ: {self.size} != {other.size}")
         oth = other._img
-        return Permutation([oth[y] for y in self._img])
+        return Permutation._of([oth[y] for y in self._img])
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for x, y in enumerate(self._img):
             inv[y] = x
-        return Permutation(inv)
+        return Permutation._of(inv)
 
     # -- orbits -----------------------------------------------------------
 
@@ -174,7 +186,7 @@ class Permutation:
             while not keep[y]:
                 y = self._img[y]
             img[x] = y
-        return Permutation(img)
+        return Permutation._of(img)
 
     # -- predicates and small queries --------------------------------------
 

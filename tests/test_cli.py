@@ -77,6 +77,7 @@ def test_poly_engine_both(capsys, tmp_path):
     assert data["engines_agree"] is True
     assert data["polynomial"] == {"0": 2, "2": 6, "4": 6, "6": 2}
     assert data["subsets"] == 16
+    assert data["blocks"] == [4]
 
 
 def test_spectrum(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Polynomial arithmetic, spectra, and the enumeration engines."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -20,16 +22,31 @@ from hypermaps.genuspoly import (
     spectrum_report,
     subset_iter,
 )
+from hypermaps.constructions import (
+    AmalgamationPicks,
+    CornerRef,
+    bar_amalgamation,
+    join,
+)
 from hypermaps.duality import partial_dual
 from hypermaps.generators import (
+    closed_form,
     cycle_hypertree,
+    fig7_example,
     ladder,
+    plane_example,
     random_hypertree,
     star,
+    torus_example,
 )
 from hypermaps.model import Hypermap, disjoint_union
 from hypermaps.perm import Permutation
-from hypermaps.walsh import walsh_build
+from hypermaps.walsh import (
+    BipartiteEdge,
+    BipartiteMapSpec,
+    BipartiteVertex,
+    walsh_build,
+)
 
 from conftest import random_bipartite_spec
 
@@ -153,15 +170,18 @@ def test_orientable_relation(torus, fig7):
         assert gamma.double_exponents() == eps
 
 
-def test_nonorientable_rejected():
-    from hypermaps.walsh import BipartiteEdge, BipartiteMapSpec, BipartiteVertex
-
+def twisted_digon() -> Hypermap:
+    """One vertex, one hyperedge, on the projective plane."""
     spec = BipartiteMapSpec(
         (BipartiteVertex("a", "V", ("b0", "b1")),
          BipartiteVertex("w", "E", ("b0", "b1"))),
         (BipartiteEdge("b0", 1, "V"), BipartiteEdge("b1", -1, "V")),
     )
-    _, h = walsh_build(spec)
+    return walsh_build(spec)[1]
+
+
+def test_nonorientable_rejected():
+    h = twisted_digon()
     assert euler_genus_polynomial(h).eval_at_one() == 2**h.e
     with pytest.raises(NotOrientable):
         orientable_genus_polynomial(h)
@@ -193,6 +213,7 @@ def test_enumeration_result_shape(fig7):
     data = res.as_dict()
     assert data["engines_agree"] is True
     assert data["subsets"] == 16
+    assert data["blocks"] == [4]
     assert data["polynomial"] == {"2": 2, "4": 2, "6": 12}
     assert data["gamma_spectrum"] == [1, 2, 3]
     assert data["spectrum"] == [2, 4, 6]
@@ -210,3 +231,115 @@ def test_sharded_counts_match_single(monkeypatch):
         for workers in (2, 3, 5):
             assert gp._enumerate_formula(h, workers) == single
         assert single == euler_genus_polynomial(h, EngineConfig(engine="direct"))
+
+
+# -- join factoring ---------------------------------------------------------------
+
+FAMILY_PIECES = {
+    "digon": twisted_digon,
+    "star2": lambda: star(2),
+    "ladder2": lambda: ladder(2),
+    "ladder3": lambda: ladder(3),
+    "cycle3": lambda: cycle_hypertree(3),
+    "plane": plane_example,
+    "torus": torus_example,
+    "fig7": fig7_example,
+}
+
+
+def _piece(kind: str, seed: int) -> Hypermap:
+    if kind == "spec":
+        return walsh_build(random_bipartite_spec(seed, twisted=True))[1]
+    return FAMILY_PIECES[kind]()
+
+
+def join_chain(parts, labels) -> Hypermap:
+    """Join the parts left to right; ``labels`` pick the corners, any label
+    of either mirror cycle of a vertex."""
+    h = parts[0]
+    for piece, (x, y) in zip(parts[1:], labels):
+        x, y = x % h.n, y % piece.n
+        h = join(h, CornerRef(h.vertex_of(x), x), piece, CornerRef(piece.vertex_of(y), y))
+    return h
+
+
+def crossing_vertex(twists=(1, 1, 1, 1)) -> Hypermap:
+    """One vertex whose cycle meets two hyperedges as ``A B A B``."""
+    spec = BipartiteMapSpec(
+        (BipartiteVertex("a", "V", ("b0", "b1", "b2", "b3")),
+         BipartiteVertex("w", "E", ("b0", "b2")),
+         BipartiteVertex("x", "E", ("b1", "b3"))),
+        tuple(BipartiteEdge(f"b{i}", t) for i, t in enumerate(twists)),
+    )
+    return walsh_build(spec)[1]
+
+
+pieces = st.tuples(st.sampled_from(["spec", "spec", *FAMILY_PIECES]),
+                   st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(pieces, min_size=2, max_size=3),
+       labels=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                       min_size=2, max_size=2))
+def test_join_chains_formula_matches_direct(kinds, labels):
+    parts = [_piece(kind, seed) for kind, seed in kinds]
+    assume(all(p.is_connected() for p in parts) and sum(p.e for p in parts) <= 12)
+    h = join_chain(parts, labels)
+    res = enumerate_partial_duals(h)
+    assert res.polynomial == euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    assert sum(res.blocks) == h.e and len(res.blocks) >= len(parts)
+
+
+def test_join_blocks_keep_unsplittable_maps_whole(fig7):
+    s3 = star(3)
+    amalgam = bar_amalgamation(  # the bar is a cut hyperedge between the sides
+        fig7, AmalgamationPicks((CornerRef(0, min(fig7.vertex_sets[0])),
+                                 CornerRef(1, min(fig7.vertex_sets[1])))),
+        s3, AmalgamationPicks((CornerRef(0, min(s3.vertex_sets[0])),
+                               CornerRef(2, min(s3.vertex_sets[2])))),
+    )
+    cases = [ladder(20), fig7, amalgam]
+    cases += [cycle_hypertree(n) for n in range(3, 9)]
+    cases += [crossing_vertex(t) for t in ((1, 1, 1, 1), (1, -1, 1, 1), (-1, 1, 1, -1))]
+    for h in cases:
+        assert gp._join_blocks(h) == [h]
+
+
+def test_crossing_vertex_is_not_a_join():
+    # split into its two hyperedges, the map would get 2 * 2 = 4 at z^0
+    for twists, want in (((1, 1, 1, 1), {0: 2, 2: 2}), ((1, -1, 1, 1), {1: 2, 2: 2})):
+        h = crossing_vertex(twists)
+        assert gp._interleaved([h.hyperedge_of(x) for x in h.vertex_cycle(0)]) == [0, 1]
+        assert euler_genus_polynomial(h) == GenusPolynomial(want)
+        assert euler_genus_polynomial(h, EngineConfig(engine="direct")) == GenusPolynomial(want)
+
+
+def test_interleaved_removes_arcs_until_only_crossings_are_left():
+    assert gp._interleaved([0, 0, 0]) == []
+    assert gp._interleaved([0, 1, 1, 2, 0]) == []  # arcs, and 0 wraps around
+    assert gp._interleaved([0, 1, 0, 2, 0, 1]) == [0, 1]  # 2 goes, 0 1 0 1 stays
+    assert gp._interleaved([0, 1, 2, 1, 0, 3, 0]) == []  # nested arcs
+    # all four stay together, though {0, 1} and {2, 3} do not cross
+    assert sorted(gp._interleaved([0, 1, 0, 1, 2, 3, 2, 3])) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_poly_join_chain_factors_into_its_pieces(seed):
+    rng = random.Random(seed)
+    parts = [ladder(7), cycle_hypertree(6), twisted_digon(), ladder(6)]
+    h = join_chain(parts, [(rng.randrange(100), rng.randrange(100)) for _ in range(3)])
+    assert h.e == 20 and not h.is_orientable()
+    assert sorted(p.e for p in gp._join_blocks(h)) == [1, 6, 6, 7]
+    res = enumerate_partial_duals(h, EngineConfig(worker_count=2))
+    assert sorted(res.blocks) == [1, 6, 6, 7] and res.subsets == 1 << 20
+    digon = euler_genus_polynomial(twisted_digon(), EngineConfig(engine="direct"))
+    want = closed_form("ladder", 7).mul(closed_form("cycle_hypertree", 6))
+    assert res.polynomial == want.mul(digon).mul(closed_form("ladder", 6))
+
+
+def test_direct_engine_is_never_factored():
+    h = join_chain([ladder(2), twisted_digon()], [(0, 0)])
+    assert len(gp._join_blocks(h)) == 2
+    assert enumerate_partial_duals(h, EngineConfig(engine="direct")).blocks == (h.e,)
+    assert enumerate_partial_duals(h, EngineConfig(engine="both")).blocks == (2, 1)

@@ -174,6 +174,18 @@ def test_mirror_axiom_rejected():
         Hypermap.from_flags(tau, psi, iota)
 
 
+def test_mirror_axiom_names_first_bad_label():
+    # labels 0 and 1 satisfy both axioms; psi fails at label 2, and so does
+    # the second tau, which is checked first
+    iota = Permutation.from_cycles([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
+    psi = Permutation.from_cycles([(0, 5), (1, 4), (2, 3)], 8)
+    with pytest.raises(HypermapError, match="fails for psi at label 2$"):
+        Hypermap.from_flags(Permutation.identity(8), psi, iota)
+    tau = Permutation.from_cycles([(2, 3)], 8)
+    with pytest.raises(HypermapError, match="fails for tau at label 2$"):
+        Hypermap.from_flags(tau, psi, iota)
+
+
 def test_components_and_disjoint_union(plane):
     assert plane.component_count() == 1
     both = disjoint_union(plane, plane)

@@ -32,6 +32,24 @@ def test_then_identity_and_inverse():
     assert p.inverse().inverse() == p
 
 
+@given(perms, st.data())
+def test_products_are_validated_bijections(p, data):
+    q = data.draw(st.permutations(range(p.size)).map(Permutation))
+    domain = data.draw(st.sets(st.integers(0, p.size - 1)))
+    products = [p.then(q), p.inverse(), p.restrict(domain),
+                Permutation.identity(p.size), Permutation.from_cycles(p.orbits(), p.size)]
+    for r in products:
+        assert type(r.image) is tuple
+        assert Permutation(r.image) == r
+    assert products[-1] == p
+
+
+def test_non_bijection_rejected():
+    for image in ([0, 0], [1], [0, 2, 1, 2], [0.0]):
+        with pytest.raises(ValueError):
+            Permutation(image)
+
+
 def test_then_size_mismatch():
     with pytest.raises(SizeMismatch):
         Permutation.identity(3).then(Permutation.identity(4))
