@@ -53,7 +53,6 @@ from .genuspoly import (
     GenusPolynomial,
     SpectrumReport,
     enumerate_partial_duals,
-    eps_of_subset,
     euler_genus_polynomial,
     orientable_genus_polynomial,
     spectrum_report,

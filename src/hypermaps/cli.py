@@ -227,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", default="formula",
                        choices=("direct", "formula", "both"))
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--edge-cap", type=int, default=30, dest="edge_cap")
+        p.add_argument("--edge-cap", type=int, default=30, dest="edge_cap",
+                       help="most hyperedges enumerated at once (1-62): per join block "
+                            "under formula, the whole map under direct and both")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("gen", help="generate a bundled example or family member")

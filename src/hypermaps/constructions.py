@@ -20,13 +20,8 @@ from .errors import (
     HypermapError,
     MissingLabel,
 )
-from .duality import EdgeSubset, psi_restricted
-from .genuspoly import (
-    EngineConfig,
-    GenusPolynomial,
-    euler_genus_polynomial,
-    eps_of_subset,
-)
+from .duality import EdgeSubset, eps_partial_dual_formula, psi_restricted
+from .genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
 from .model import Hypermap, _paired_classes
 from .perm import Permutation
 
@@ -461,7 +456,7 @@ def check_amalgamation_theorem(h1: Hypermap, p1: AmalgamationPicks,
         m2 = mask >> e1
         k1 = corner_face_count(h1, EdgeSubset(m1 ^ full1, e1), corners1)
         k2 = corner_face_count(h2, EdgeSubset(m2 ^ full2, e2), corners2)
-        eps = (eps_of_subset(h1, m1) + eps_of_subset(h2, m2)
+        eps = (eps_partial_dual_formula(h1, m1) + eps_partial_dual_formula(h2, m2)
                + 2 * (k1 + k2 - 2))
         acc[eps] = acc.get(eps, 0) + 2
     rhs = GenusPolynomial(acc)
@@ -507,7 +502,7 @@ def check_subdivision(h: Hypermap, edge: int) -> dict:
                 a_mask |= 1 << old_i
         if sum(mask >> k & 1 for k in new_edges) > 1:
             a_mask ^= full_old
-        delta = eps_of_subset(sub, mask) - eps_of_subset(h, a_mask)
+        delta = eps_partial_dual_formula(sub, mask) - eps_partial_dual_formula(h, a_mask)
         mass += 1
         if delta not in (0, 2, 4):
             shifts_ok = False

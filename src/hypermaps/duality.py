@@ -112,11 +112,12 @@ def _as_subset(h: Hypermap, a) -> EdgeSubset:
 def psi_restricted(h: Hypermap, a) -> Permutation:
     """``psi`` on the labels of ``A``'s hyperedges, identity elsewhere."""
     sub = _as_subset(h, a)
-    in_a = bytearray(h.n)
+    img, psi = list(range(h.n)), h.psi.image
     for i in sub.edges():
         for x in h.hyperedge_sets[i]:
-            in_a[x] = 1
-    return Permutation([h.psi(x) if in_a[x] else x for x in range(h.n)])
+            img[x] = psi[x]
+    # psi keeps each hyperedge's labels together, so this is a bijection
+    return Permutation._of(img)
 
 
 def partial_dual(h: Hypermap, a) -> Hypermap:
@@ -132,8 +133,9 @@ def partial_dual(h: Hypermap, a) -> Hypermap:
     psi_a = psi_restricted(h, sub)
     ba = sub.labels(h)
     tau2 = psi_a.then(h.tau)
-    psi_inv = h.psi.inverse()
-    psi2 = Permutation([psi_inv(x) if x in ba else h.psi(x) for x in range(h.n)])
+    psi, psi_inv = h.psi.image, h.psi.inverse().image
+    # psi with the A-cycles reversed: a bijection, as each cycle stays whole
+    psi2 = Permutation._of([psi_inv[x] if x in ba else psi[x] for x in range(h.n)])
     iota2 = psi_a.then(h.iota)
     return Hypermap.from_flags(
         tau2, psi2, iota2,
@@ -273,10 +275,17 @@ def check_properties(h: Hypermap, a, b=None) -> PropertyReport:
                dual(ha) == partial_dual(h, sub_a.complement()), wa)
     if b is not None:
         sub_b = _as_subset(h, b)
-        wab = {"A": sub_a.names(h), "B": sub_b.names(h)}
-        lhs = partial_dual(ha, sub_b)
-        report.add("(H^A)^B = (H^B)^A",
-                   lhs == partial_dual(partial_dual(h, sub_b), sub_a), wab)
-        report.add("(H^A)^B = H^(A xor B)",
-                   lhs == partial_dual(h, sub_a.symmetric_difference(sub_b)), wab)
+        _add_compositions(report, h, sub_a, sub_b, ha, partial_dual(h, sub_b),
+                          partial_dual(h, sub_a.symmetric_difference(sub_b)))
+    return report
+
+
+def _add_compositions(report: PropertyReport, h: Hypermap, a, b,
+                      ha: Hypermap, hb: Hypermap, h_ab: Hypermap) -> PropertyReport:
+    """Add the two pair identities to ``report``, given H^A, H^B and H^(A xor B)."""
+    sub_a, sub_b = _as_subset(h, a), _as_subset(h, b)
+    wab = {"A": sub_a.names(h), "B": sub_b.names(h)}
+    lhs = partial_dual(ha, sub_b)
+    report.add("(H^A)^B = (H^B)^A", lhs == partial_dual(hb, sub_a), wab)
+    report.add("(H^A)^B = H^(A xor B)", lhs == h_ab, wab)
     return report

@@ -53,7 +53,7 @@ from .errors import (
     NotConnected,
     NotOrientable,
 )
-from .duality import EdgeSubset, eps_partial_dual_formula, partial_dual
+from .duality import EdgeSubset, partial_dual
 from .model import Hypermap
 from .perm import Permutation
 
@@ -63,7 +63,6 @@ __all__ = [
     "EngineConfig",
     "EnumerationResult",
     "subset_iter",
-    "eps_of_subset",
     "euler_genus_polynomial",
     "orientable_genus_polynomial",
     "enumerate_partial_duals",
@@ -104,9 +103,6 @@ class GenusPolynomial:
 
     def exponents(self) -> tuple[int, ...]:
         return tuple(self._c)
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def add(self, other: "GenusPolynomial") -> "GenusPolynomial":
         out = dict(self._c)
@@ -212,17 +208,6 @@ def subset_iter(e_count: int, edge_cap: int = 62):
     if e_count > edge_cap:
         raise EdgeCapExceeded(f"{e_count} hyperedges exceeds the cap of {edge_cap}")
     return range(1 << e_count)
-
-
-# -- per-subset values -------------------------------------------------------
-
-
-def eps_of_subset(h: Hypermap, a, engine: str = "formula") -> int:
-    """Euler genus of one partial dual, by either engine."""
-    sub = a if isinstance(a, EdgeSubset) else EdgeSubset(int(a), h.e)
-    if engine == "direct":
-        return 2 * h.component_count() - partial_dual(h, sub).counts().chi
-    return eps_partial_dual_formula(h, sub)
 
 
 # -- the formula engine: one contracted, paired face-count kernel -------------
@@ -484,15 +469,15 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
     """The pieces of a connected hypermap, split at its separating vertices.
 
     Biconnected blocks of the incidence multigraph are merged when they meet
-    at a hyperedge (a bar, not a join), and at a vertex when their labels
-    cross in the vertex's cycle (see :func:`_interleaved`).  Every other
-    block meeting at a vertex holds one contiguous arc of its cycle, which
-    is exactly what :func:`~hypermaps.constructions.join` splices in, so the
-    map is a chain of joins of the pieces and its polynomial is their
-    product.  Each piece is ``tau`` restricted to its labels with ``psi`` and
-    ``iota`` (both keep every hyperedge whole), renumbered densely and
-    validated by :meth:`Hypermap.from_flags`.  Returns ``[h]`` when nothing
-    splits.
+    at a hyperedge (a bar, not a join), and at a vertex by the components of
+    the graph of blocks whose labels cross in the vertex's cycle (only those
+    :func:`_interleaved` leaves can cross).  Every other block meeting at a
+    vertex holds one contiguous arc of its cycle, which is exactly what
+    :func:`~hypermaps.constructions.join` splices in, so the map is a chain of
+    joins of the pieces and its polynomial is their product.  Each piece is
+    ``tau`` restricted to its labels with ``psi`` and ``iota`` (both keep
+    every hyperedge whole), renumbered densely and validated by
+    :meth:`Hypermap.from_flags`.  Returns ``[h]`` when nothing splits.
     """
     if h.n == 0:
         return [h]
@@ -514,7 +499,26 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
     for s in h.hyperedge_sets:
         union({block[x] for x in s})
     for i in range(h.v):
-        union(_interleaved([block[x] for x in h.vertex_cycle(i)]))
+        cycle = [block[x] for x in h.vertex_cycle(i)]
+        if not (left := set(_interleaved(cycle))):
+            continue
+        # Merge the colours left by the components of their crossing graph.
+        # On the cycle cut open, a colour seen again crosses each group
+        # opened after its own and not yet closed; those join its group.
+        word = [find(b) for b in cycle if b in left]
+        end = {g: k for k, g in enumerate(word)}
+        start = {g: k for k, g in reversed(list(enumerate(word)))}
+        stack: list[int] = []
+        for k, c in enumerate(word):
+            if start[c] == k:
+                stack.append(c)
+            g = find(c)
+            while stack[-1] != g:
+                t = stack.pop()
+                union((g, t))
+                end[g] = max(end[g], end[t])
+            if end[g] == k:
+                stack.pop()
     piece = [find(b) for b in block]
     labels: dict[int, list[int]] = {}
     for x, b in enumerate(piece):
@@ -583,15 +587,6 @@ class EnumerationResult:
         return out
 
 
-def _guard(h: Hypermap, cfg: EngineConfig) -> None:
-    if not h.is_connected():
-        raise NotConnected("genus polynomials are defined for connected hypermaps")
-    if h.e > cfg.edge_cap:
-        raise EdgeCapExceeded(
-            f"{h.e} hyperedges exceeds the configured cap of {cfg.edge_cap}"
-        )
-
-
 def _enumerate(h: Hypermap, cfg: EngineConfig
                ) -> tuple[GenusPolynomial, bool | None, tuple[int, ...]]:
     """The polynomial by the configured engine, whether the engines agree
@@ -599,16 +594,21 @@ def _enumerate(h: Hypermap, cfg: EngineConfig
     enumerated.  ``both`` raises when they disagree.
 
     The formula engine enumerates each join block (:func:`_join_blocks`) and
-    multiplies; ``direct`` always enumerates the whole map.
+    multiplies, so ``edge_cap`` bounds each block; ``direct`` and the direct
+    half of ``both`` enumerate, and so are capped by, the whole map.
     """
-    _guard(h, cfg)
+    if not h.is_connected():
+        raise NotConnected("genus polynomials are defined for connected hypermaps")
+    pieces = [h] if cfg.engine == "direct" else _join_blocks(h)
+    blocks = tuple(piece.e for piece in pieces)
+    largest = max(blocks) if cfg.engine == "formula" else h.e
+    if largest > cfg.edge_cap:
+        raise EdgeCapExceeded(f"{largest} hyperedges exceeds the configured cap of {cfg.edge_cap}")
     if cfg.engine == "direct":
-        return _enumerate_direct(h), None, (h.e,)
-    pieces = _join_blocks(h)
+        return _enumerate_direct(h), None, blocks
     poly = GenusPolynomial({0: 1})
     for piece in pieces:
         poly = poly.mul(_enumerate_formula(piece, cfg.workers()))
-    blocks = tuple(piece.e for piece in pieces)
     if cfg.engine == "formula":
         return poly, None, blocks
     direct = _enumerate_direct(h)

@@ -46,9 +46,10 @@ class Permutation:
     def _of(cls, image: Iterable[int]) -> "Permutation":
         """A permutation on an image that is a bijection by construction.
 
-        Skips the bijection check of the public constructor; only the
-        products and constructors of this class, whose results are
-        bijections whenever their operands are, call it.
+        Skips the bijection check of the public constructor.  Only code
+        whose result is a bijection whenever its operands are calls it: the
+        products and constructors of this class, and the restricted and
+        reversed ``psi`` built by :mod:`hypermaps.duality`.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "_img", tuple(image))

@@ -1,7 +1,7 @@
 """Partial duality: the dual construction, spanning subs, genus formulas."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hypermaps.duality import (
     EdgeSubset,
@@ -11,13 +11,14 @@ from hypermaps.duality import (
     eps_partial_dual_formula,
     gamma_partial_dual_formula,
     partial_dual,
+    psi_restricted,
     spanning_counts,
     spanning_face_count_restricted,
 )
 from hypermaps.errors import HypermapError, NotConnected
 from hypermaps.generators import ladder, star
 from hypermaps.model import disjoint_union
-from hypermaps.perm import format_cycles, parse_cycles
+from hypermaps.perm import Permutation, format_cycles, parse_cycles
 
 from conftest import incidence_components, spec_maps
 
@@ -157,3 +158,11 @@ def test_spanning_components_match_incidence_bfs(h):
     for mask in range(min(1 << h.e, 64)):
         sub = EdgeSubset(mask, h.e)
         assert spanning_counts(h, sub).c == incidence_components(h, sub.edges())
+
+
+@settings(max_examples=50, deadline=None)
+@given(h=spec_maps, data=st.data())
+def test_dual_permutations_are_validated_bijections(h, data):
+    mask = data.draw(st.integers(0, (1 << h.e) - 1))
+    for p in (psi_restricted(h, mask), partial_dual(h, mask).psi):
+        assert Permutation(p.image) == p

@@ -324,6 +324,21 @@ def test_interleaved_removes_arcs_until_only_crossings_are_left():
     assert sorted(gp._interleaved([0, 1, 0, 1, 2, 3, 2, 3])) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("x", range(8))
+def test_crossing_pieces_joined_at_their_crossing_vertex_split(x):
+    # each piece's only vertex crosses A B A B; joined there, the cycle holds
+    # two crossing groups that do not cross each other
+    twisted = (1, -1, 1, 1)
+    h = join_chain([crossing_vertex(), crossing_vertex(twisted)], [(x, 3)])
+    assert h.v == 1
+    assert sorted(gp._interleaved([h.hyperedge_of(y) for y in h.vertex_cycle(0)])) == [0, 1, 2, 3]
+    assert sorted(p.e for p in gp._join_blocks(h)) == [2, 2]
+    want = euler_genus_polynomial(crossing_vertex()).mul(
+        euler_genus_polynomial(crossing_vertex(twisted)))
+    assert euler_genus_polynomial(h) == want
+    assert euler_genus_polynomial(h, EngineConfig(engine="direct")) == want
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_poly_join_chain_factors_into_its_pieces(seed):
     rng = random.Random(seed)
@@ -343,3 +358,16 @@ def test_direct_engine_is_never_factored():
     assert len(gp._join_blocks(h)) == 2
     assert enumerate_partial_duals(h, EngineConfig(engine="direct")).blocks == (h.e,)
     assert enumerate_partial_duals(h, EngineConfig(engine="both")).blocks == (2, 1)
+
+
+def test_edge_cap_bounds_each_join_block():
+    h = join_chain([ladder(12), ladder(12)], [(0, 0)])
+    assert h.e == 24
+    res = enumerate_partial_duals(h, EngineConfig(edge_cap=16))
+    assert res.blocks == (12, 12)
+    assert res.polynomial == closed_form("ladder", 12).mul(closed_form("ladder", 12))
+    for engine in ("direct", "both"):  # these enumerate the whole map
+        with pytest.raises(EdgeCapExceeded):
+            enumerate_partial_duals(h, EngineConfig(engine=engine, edge_cap=16))
+    with pytest.raises(EdgeCapExceeded):
+        enumerate_partial_duals(h, EngineConfig(edge_cap=11))

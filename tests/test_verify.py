@@ -1,29 +1,77 @@
 """The identity-verification suite reports failures instead of raising."""
 
+from hypothesis import assume, given, settings, strategies as st
+
 import hypermaps.genuspoly as gp
+import hypermaps.verify as verify
 from hypermaps.genuspoly import GenusPolynomial
 from hypermaps.verify import verify_hypermap
+from hypermaps.walsh import walsh_build
+
+from conftest import random_bipartite_spec
 
 AGREE = "engines agree and coefficients sum to 2^e"
 
 
-def _agreement_entry(report: dict) -> dict:
-    return next(c for c in report["checks"] if c["check"] == AGREE)
+def _entry(report: dict, name: str) -> dict:
+    return next(c for c in report["checks"] if c["check"] == name)
 
 
 def test_engine_disagreement_is_reported(monkeypatch, fig7):
-    assert _agreement_entry(verify_hypermap(fig7))["ok"]
+    assert _entry(verify_hypermap(fig7), AGREE)["ok"]
 
     monkeypatch.setattr(gp, "_enumerate_formula",
                         lambda h, workers: GenusPolynomial({0: 2**h.e}))
     report = verify_hypermap(fig7)
-    entry = _agreement_entry(report)
+    entry = _entry(report, AGREE)
     assert not entry["ok"] and not report["ok"]
     assert entry["detail"]["polynomial"] == {"0": 16}
     assert entry["detail"]["direct_polynomial"] == {"2": 2, "4": 2, "6": 12}
     assert entry["detail"]["mask"] is None  # every single subset still agrees
 
-    per_subset = gp.eps_partial_dual_formula
-    monkeypatch.setattr(gp, "eps_partial_dual_formula",
-                        lambda h, sub: per_subset(h, sub) + 2 * (sub.mask in (5, 9)))
-    assert _agreement_entry(verify_hypermap(fig7))["detail"]["mask"] == 5
+    per_subset = verify.eps_partial_dual_formula
+    monkeypatch.setattr(verify, "eps_partial_dual_formula",
+                        lambda h, mask: per_subset(h, mask) + 2 * (mask in (5, 9)))
+    assert _entry(verify_hypermap(fig7), AGREE)["detail"]["mask"] == 5
+
+
+def test_each_failing_entry_names_its_own_mask(monkeypatch, fig7):
+    chi, eps = verify.chi_partial_dual_formula, verify.eps_partial_dual_formula
+    monkeypatch.setattr(verify, "chi_partial_dual_formula",
+                        lambda h, mask: chi(h, mask) + (mask == 3))
+    monkeypatch.setattr(verify, "eps_partial_dual_formula",
+                        lambda h, mask: eps(h, mask) + 2 * (mask == 6))
+    report = verify_hypermap(fig7)
+    assert not report["ok"]
+    chi_entry = _entry(report, "characteristic formula equals the constructed dual")
+    eps_entry = _entry(report, "genus formula equals the constructed dual")
+    faces = _entry(report, "restricted face count agrees with the full-label one")
+    assert not chi_entry["ok"] and chi_entry["detail"] == {"mask": 3}
+    assert not eps_entry["ok"] and eps_entry["detail"] == {"mask": 6}
+    assert faces["ok"] and "detail" not in faces
+    # the engines still agree, so their entry names no mask
+    assert _entry(report, AGREE)["ok"] and "mask" not in _entry(report, AGREE)["detail"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_suite_passes_on_twisted_maps(seed):
+    h = walsh_build(random_bipartite_spec(seed, twisted=True))[1]
+    assume(h.is_connected())
+    assert h.e <= 4
+    assert verify_hypermap(h)["ok"]
+
+
+def test_pair_entry_reads_the_table_of_duals(monkeypatch, fig7):
+    real = verify.partial_dual
+    monkeypatch.setattr(verify, "partial_dual",
+                        lambda h, mask: h if mask == 3 else real(h, mask))
+    entry = _entry(verify_hypermap(fig7), "composition by symmetric difference (all pairs)")
+    assert not entry["ok"]
+    # the first failing pair is A = {}, B = {e1, e2}: (H^A)^B is the true
+    # H^B, but the table's H^B is H itself
+    names = fig7.hyperedge_names
+    assert [c["identity"] for c in entry["detail"]["identities"]] == [
+        "(H^A)^B = (H^B)^A", "(H^A)^B = H^(A xor B)"]
+    assert [c["ok"] for c in entry["detail"]["identities"]] == [False, False]
+    assert entry["detail"]["identities"][0]["witness"] == {"A": (), "B": names[:2]}
