@@ -1,11 +1,22 @@
 """Hypermap constructions: join, bar-amalgamation, subdivision, pendants.
 
-All constructions work on cycle lists: affected classes are rewritten as
-explicit label sequences, every mirror cycle is re-derived from the side
-pairing (so the mirror axioms hold by construction), and the result is
-reassembled and fully validated.  A corner is addressed by a single label;
-insertions land immediately before that label in its own cycle, and the
-mirrored insertion position follows from the side pairing.
+Each construction edits the flag arrays of its input: the image lists of
+``tau``, ``psi`` and ``iota``, the second input's labels shifted past the
+first's and fresh label pairs put in front as fixed points.  An insertion
+splices one cycle into another by two transpositions of images, which keep
+the mirror axioms; subdivision then drops the old hyperedge's six labels.
+:meth:`Hypermap.from_flags` builds the result from the declared classes and
+re-checks the axioms and the classes.  A corner is addressed by one label;
+an insertion lands just before it in its cycle, the mirrored one just after
+its ``iota`` partner.
+
+Numbering of every result.  Labels: the fresh pairs (the last pair made
+first, each pair's ``iota`` partner first), then the first input's labels,
+then the second input's.  External names: the first input keeps its own;
+the fresh labels, then the second input's, are numbered on from the largest
+name kept.  Classes: the first input's untouched ones, then the second's, in
+their order, then the rewritten and new ones as each construction lists;
+names are then made unique in that order by priming.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .errors import (
 )
 from .duality import EdgeSubset, eps_partial_dual_formula, psi_restricted
 from .genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
-from .model import Hypermap, _paired_classes
+from .model import Hypermap, _dedupe, _paired_classes
 from .perm import Permutation
 
 __all__ = [
@@ -99,99 +110,73 @@ def parse_corner(h: Hypermap, text: str) -> CornerRef:
     return corner
 
 
-# -- assembly of rewritten cycle systems --------------------------------------
+# -- splices of the flag arrays ----------------------------------------------
 
 
-class _Assembly:
-    """Collects class primaries plus a side pairing, then builds a hypermap.
+def _flags(fresh: int, *maps: Hypermap) -> tuple[list[int], list[int], list[int]]:
+    """Image lists of ``tau``, ``psi`` and ``iota``: ``fresh`` new pairs
+    ``(2j, 2j + 1)``, fixed by ``tau`` and ``psi``, then each map's labels."""
+    tau, psi = list(range(2 * fresh)), list(range(2 * fresh))
+    iota = [x ^ 1 for x in range(2 * fresh)]
+    off = 2 * fresh
+    for h in maps:
+        tau += [y + off for y in h.tau.image]
+        psi += [y + off for y in h.psi.image]
+        iota += [y + off for y in h.iota.image]
+        off += h.n
+    return tau, psi, iota
 
-    Labels may be arbitrary non-negative integers (old, shifted, or fresh);
-    they are compacted to a dense universe at build time.  Mirror cycles are
-    derived from the pairing, never supplied.
+
+def _splice(img: list[int], iota: Sequence[int], x: int, y: int) -> None:
+    """Splice the cycle of ``img`` through ``y`` in just before ``x``, and
+    its mirror cycle in just after ``iota[x]``.
+
+    Two transpositions: of the images of the predecessors of ``x`` and
+    ``y``, and of the images of ``iota[x]`` and ``iota[y]``.  A fixed point
+    ``y`` whose partner is fixed too becomes one new label in each of the
+    two cycles.  Predecessors come from the mirror axiom,
+    ``img^-1(x) = iota(img(iota(x)))``, which every splice preserves.
     """
-
-    def __init__(self):
-        self.vertex_primaries: list[tuple[list[int], str]] = []
-        self.hyperedge_primaries: list[tuple[list[int], str]] = []
-        self.iota: dict[int, int] = {}
-        self.external: dict[int, int] = {}
-        self._fresh = -1
-
-    def copy_from(self, h: Hypermap, offset: int = 0,
-                  skip_vertices: frozenset[int] = frozenset(),
-                  skip_hyperedges: frozenset[int] = frozenset()) -> None:
-        for i in range(h.v):
-            if i not in skip_vertices:
-                self.vertex_primaries.append(
-                    ([x + offset for x in h.vertex_cycle(i)], h.vertex_names[i])
-                )
-        for i in range(h.e):
-            if i not in skip_hyperedges:
-                self.hyperedge_primaries.append(
-                    ([x + offset for x in h.hyperedge_cycle(i)], h.hyperedge_names[i])
-                )
-        for x in range(h.n):
-            self.iota[x + offset] = h.iota(x) + offset
-
-    def fresh_pair(self) -> tuple[int, int]:
-        a, b = self._fresh, self._fresh - 1
-        self._fresh -= 2
-        self.iota[a] = b
-        self.iota[b] = a
-        return a, b
-
-    def build(self) -> Hypermap:
-        labels: set[int] = set()
-        for cyc, _ in self.vertex_primaries:
-            labels.update(cyc)
-            labels.update(self.iota[x] for x in cyc)
-        order = sorted(labels)
-        dense = {old: i for i, old in enumerate(order)}
-
-        def pair_of(primary: list[int]) -> tuple[list[int], list[int]]:
-            mirror = [self.iota[x] for x in reversed(primary)]
-            return [dense[x] for x in primary], [dense[x] for x in mirror]
-
-        vpairs = [pair_of(cyc) for cyc, _ in self.vertex_primaries]
-        epairs = [pair_of(cyc) for cyc, _ in self.hyperedge_primaries]
-        iota_img = [0] * len(order)
-        for old in order:
-            iota_img[dense[old]] = dense[self.iota[old]]
-        ext_used = {v for v in self.external.values()}
-        next_ext = max(ext_used, default=0) + 1
-        label_names = []
-        for old in order:
-            if old in self.external:
-                label_names.append(self.external[old])
-            else:
-                label_names.append(next_ext)
-                next_ext += 1
-        return Hypermap.from_parts(
-            vpairs, epairs, iota=Permutation(iota_img),
-            vertex_names=[nm for _, nm in self.vertex_primaries],
-            hyperedge_names=[nm for _, nm in self.hyperedge_primaries],
-            label_names=label_names,
-        )
-
-    def keep_externals(self, h: Hypermap, offset: int = 0) -> None:
-        for x in range(h.n):
-            self.external[x + offset] = h.label_names[x]
+    px, py = iota[img[iota[x]]], iota[img[iota[y]]]
+    img[px], img[py] = img[py], img[px]
+    mx, my = iota[x], iota[y]
+    img[mx], img[my] = img[my], img[mx]
 
 
-def _dedupe(base: list[tuple[list[int], str]]) -> None:
-    seen: set[str] = set()
-    for k, (cyc, nm) in enumerate(base):
-        while nm in seen:
-            nm = nm + "'"
-        seen.add(nm)
-        base[k] = (cyc, nm)
+def _cycle(img: list[int], iota: Sequence[int], labels: Sequence[int]) -> None:
+    """Make fixed points ``labels`` one cycle of ``img``, in that order, and
+    their partners its mirror cycle."""
+    for y in labels[1:]:
+        _splice(img, iota, labels[0], y)
 
 
-def _rewrite(cycle: Iterable[int], rules: dict[int, list[int]]) -> list[int]:
-    out: list[int] = []
-    for x in cycle:
-        out.extend(rules.get(x, [x]))
-    return out
+def _classes(sets: Sequence[frozenset[int]], names: Sequence[str], off: int,
+             skip: Iterable[int] = ()) -> list[tuple[frozenset[int], str]]:
+    """``(labels, name)`` of every class not in ``skip``, labels shifted by
+    ``off``."""
+    skip = set(skip)
+    return [(frozenset(x + off for x in s) if off else s, nm)
+            for i, (s, nm) in enumerate(zip(sets, names)) if i not in skip]
+
+
+def _build(tau: list[int], psi: list[int], iota: list[int],
+           vertices: list[tuple[frozenset[int], str]],
+           hyperedges: list[tuple[frozenset[int], str]],
+           kept: Sequence[int], fresh: int, tail: int = 0) -> Hypermap:
+    """The validated hypermap of flag arrays that splices keep bijections,
+    with its classes declared in order and their names made unique.  The
+    external names are ``fresh`` new ones, ``kept``, then ``tail`` new ones,
+    the new ones numbered on from ``max(kept)``."""
+    top = max(kept, default=0)
+    new = range(top + 1, top + 1 + fresh + tail)
+    return Hypermap.from_flags(
+        Permutation._of(tau), Permutation._of(psi), Permutation._of(iota),
+        hyperedge_sets=[s for s, _ in hyperedges],
+        hyperedge_names=_dedupe([nm for _, nm in hyperedges]),
+        vertex_sets=[s for s, _ in vertices],
+        vertex_names=_dedupe([nm for _, nm in vertices]),
+        label_names=[*new[:fresh], *kept, *new[fresh:]],
+    )
 
 
 # -- join ---------------------------------------------------------------------
@@ -200,23 +185,25 @@ def _rewrite(cycle: Iterable[int], rules: dict[int, list[int]]) -> list[int]:
 def join(h1: Hypermap, c1: CornerRef, h2: Hypermap, c2: CornerRef) -> Hypermap:
     """Glue ``h2``'s picked vertex into a corner of ``h1``'s picked vertex.
 
-    The second vertex's cycle, rotated to start at ``c2``'s label, is spliced
+    The second vertex's cycle, entered at ``c2``'s label, is spliced in
     immediately before ``c1``'s label; everything else is untouched.  Labels
-    of ``h2`` are shifted, so the inputs need not be disjoint objects.
+    of ``h2`` are shifted, so the inputs need not be distinct objects.
+
+    Numbering as the module says; the glued vertex comes last, under
+    ``h1``'s name.
     """
     c1.validate(h1)
     c2.validate(h2)
     off = h1.n
-    asm = _Assembly()
-    asm.copy_from(h1, 0, skip_vertices=frozenset({c1.vertex}))
-    asm.copy_from(h2, off, skip_vertices=frozenset({c2.vertex}))
-    asm.keep_externals(h1, 0)
-    spliced = [x + off for x in h2.tau.orbit_of(c2.label)]
-    spliced += list(h1.tau.orbit_of(c1.label))
-    asm.vertex_primaries.append((spliced, h1.vertex_names[c1.vertex]))
-    _dedupe(asm.vertex_primaries)
-    _dedupe(asm.hyperedge_primaries)
-    return asm.build()
+    tau, psi, iota = _flags(0, h1, h2)
+    _splice(tau, iota, c1.label, c2.label + off)
+    glued = h1.vertex_sets[c1.vertex] | {x + off for x in h2.vertex_sets[c2.vertex]}
+    vertices = (_classes(h1.vertex_sets, h1.vertex_names, 0, [c1.vertex])
+                + _classes(h2.vertex_sets, h2.vertex_names, off, [c2.vertex])
+                + [(glued, h1.vertex_names[c1.vertex])])
+    hyperedges = (_classes(h1.hyperedge_sets, h1.hyperedge_names, 0)
+                  + _classes(h2.hyperedge_sets, h2.hyperedge_names, off))
+    return _build(tau, psi, iota, vertices, hyperedges, h1.label_names, 0, h2.n)
 
 
 # -- bar-amalgamation ---------------------------------------------------------
@@ -246,47 +233,45 @@ def bar_amalgamation(h1: Hypermap, p1: AmalgamationPicks,
                      h2: Hypermap, p2: AmalgamationPicks) -> Hypermap:
     """Connect the two hypermaps by one fresh hyperedge through the picks.
 
-    Each picked vertex receives one fresh label pair at its corner; the
-    connecting hyperedge runs through the first side's picks in order and the
-    second side's in reverse.  Picks are normalized to a common orientation
-    side per hypermap (the same corners, re-addressed), which keeps the bar
-    untwisted.
+    Each picked vertex receives one fresh label pair, spliced in before its
+    corner label; the connecting hyperedge runs through the first side's
+    picks in order and the second side's in reverse.  Picks are normalized
+    to a common orientation side per hypermap (the same corners,
+    re-addressed), which keeps the bar untwisted.
 
     The genus-change count formulas assume picks listed in face-boundary
     order; any order still yields a valid hypermap, but picks running against
     a face boundary attach the bar with extra twisting.
+
+    Numbering as the module says, one fresh pair per pick made in pick
+    order; the picked vertices come last in that order, then ``bar``.
     """
     p1.validate(h1)
     p2.validate(h2)
     picks1 = _normalize_side(h1, p1.picks)
     picks2 = _normalize_side(h2, p2.picks)
-    off = h1.n
-    asm = _Assembly()
-    skip1 = frozenset(c.vertex for c in picks1)
-    skip2 = frozenset(c.vertex for c in picks2)
-    asm.copy_from(h1, 0, skip_vertices=skip1)
-    asm.copy_from(h2, off, skip_vertices=skip2)
-    asm.keep_externals(h1, 0)
-
-    def insert_pick(h: Hypermap, offset: int, c: CornerRef) -> int:
-        """Splice a fresh pair at the corner; returns the label that sits
-        beside the corner label in its own cycle."""
-        s, s_mirror = asm.fresh_pair()
-        x = c.label + offset
-        rules = {x: [s, x], asm.iota[x]: [asm.iota[x], s_mirror]}
-        primary = [y + offset for y in h.tau.orbit_of(min(h.vertex_sets[c.vertex]))]
-        asm.vertex_primaries.append(
-            (_rewrite(primary, rules), h.vertex_names[c.vertex])
-        )
-        return s
-
-    side1 = [insert_pick(h1, 0, c) for c in picks1]
-    side2 = [insert_pick(h2, off, c) for c in picks2]
-    bar = side1 + side2[::-1]
-    asm.hyperedge_primaries.append((bar, "bar"))
-    _dedupe(asm.vertex_primaries)
-    _dedupe(asm.hyperedge_primaries)
-    return asm.build()
+    fresh = len(picks1) + len(picks2)
+    off1, off2 = 2 * fresh, 2 * fresh + h1.n
+    tau, psi, iota = _flags(fresh, h1, h2)
+    picked = []
+    for k, (h, off, c) in enumerate([(h1, off1, c) for c in picks1]
+                                    + [(h2, off2, c) for c in picks2]):
+        s = 2 * (fresh - k) - 1  # the pair made k-th, partner s - 1
+        _splice(tau, iota, c.label + off, s)
+        labels = frozenset(x + off for x in h.vertex_sets[c.vertex]) | {s, s - 1}
+        picked.append((s, (labels, h.vertex_names[c.vertex])))
+    side = len(picks1)
+    _cycle(psi, iota, [s for s, _ in picked[:side] + picked[side:][::-1]])
+    vertices = (_classes(h1.vertex_sets, h1.vertex_names, off1,
+                         [c.vertex for c in picks1])
+                + _classes(h2.vertex_sets, h2.vertex_names, off2,
+                           [c.vertex for c in picks2])
+                + [cls for _, cls in picked])
+    hyperedges = (_classes(h1.hyperedge_sets, h1.hyperedge_names, off1)
+                  + _classes(h2.hyperedge_sets, h2.hyperedge_names, off2)
+                  + [(frozenset(range(2 * fresh)), "bar")])
+    return _build(tau, psi, iota, vertices, hyperedges, h1.label_names,
+                  2 * fresh, h2.n)
 
 
 # -- spanning-sub face classes and corner counting ----------------------------
@@ -324,6 +309,10 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     receives the two new label pairs in the order ``(x_(i-1), x_i)``.  The
     local rotations are pinned so the face count rises by exactly three,
     keeping the Euler genus unchanged; that invariance is asserted.
+
+    Numbering as the module says, nine fresh pairs made as ``a_i, b_i,
+    c_i`` for ``x_i`` in turn; the ``v_i`` (in the iteration order of their
+    index set) and ``u`` come last, as do ``e_1, e_2, e_3``.
     """
     if not 0 <= edge < h.e:
         raise HypermapError(f"no hyperedge with index {edge}")
@@ -334,41 +323,46 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     eps_before = h.counts().eps
     f_before = h.counts().f
     ename = h.hyperedge_names[edge]
-    l = list(h.hyperedge_cycle(edge))  # (l1, l2, l3) in the first cycle's order
-    dead = set(h.hyperedge_sets[edge])
-
-    asm = _Assembly()
+    l = h.hyperedge_cycle(edge)  # (l1, l2, l3) in the first cycle's order
     touched = frozenset(h.vertex_of(x) for x in l)
-    asm.copy_from(h, 0, skip_vertices=touched, skip_hyperedges=frozenset({edge}))
-    asm.keep_externals(h, 0)
 
-    a = [0, 0, 0]
-    b = [0, 0, 0]
-    c = [0, 0, 0]
-    for i in range(3):
-        a[i], _ = asm.fresh_pair()
-        b[i], _ = asm.fresh_pair()
-        c[i], _ = asm.fresh_pair()
+    tau, psi, iota = _flags(9, h)
+    made = [2 * (9 - k) - 1 for k in range(9)]
+    a, b, c = made[0::3], made[1::3], made[2::3]
 
-    rules: dict[int, list[int]] = {}
+    def paired(*xs):  # fresh labels with their iota partners
+        return {y for x in xs for y in (x, x - 1)}
+
+    rewired = {vi: {x + 18 for x in h.vertex_sets[vi]} for vi in touched}
     for i in range(3):
-        seq = [a[i], b[(i - 1) % 3]]  # mirror cycle reads (x_(i-1), x_i)
-        rules[l[i]] = seq
-        rules[h.iota(l[i])] = [asm.iota[s] for s in reversed(seq)]
-    for vi in touched:
-        primary = list(h.vertex_cycle(vi))
-        asm.vertex_primaries.append((_rewrite(primary, rules), h.vertex_names[vi]))
-    asm.vertex_primaries.append(([c[0], c[1], c[2]], "u"))
-    for i in range(3):
-        asm.hyperedge_primaries.append(
-            ([a[i], b[i], c[i]], f"{ename}_{i + 1}")
-        )
-    for x in dead:
-        asm.iota.pop(x, None)
-        asm.external.pop(x, None)
-    _dedupe(asm.vertex_primaries)
-    _dedupe(asm.hyperedge_primaries)
-    out = asm.build()
+        # the old corner label gives way to (x_(i-1), x_i) in its mirror cycle
+        _splice(tau, iota, l[i] + 18, a[i])
+        _splice(tau, iota, l[i] + 18, b[i - 1])
+        rewired[h.vertex_of(l[i])] |= paired(a[i], b[i - 1])
+        _cycle(psi, iota, [a[i], b[i], c[i]])
+    _cycle(tau, iota, c)
+    vertices = (_classes(h.vertex_sets, h.vertex_names, 18, touched)
+                + [(s, h.vertex_names[vi]) for vi, s in rewired.items()]
+                + [(paired(*c), "u")])
+    hyperedges = (_classes(h.hyperedge_sets, h.hyperedge_names, 18, [edge])
+                  + [(paired(a[i], b[i], c[i]), f"{ename}_{i + 1}") for i in range(3)])
+
+    # drop the six old labels of e, each survivor ranked in label order
+    dead = {x + 18 for x in h.hyperedge_sets[edge]}
+    keep = [x for x in range(len(tau)) if x not in dead]
+    rank = [-1] * len(tau)
+    for k, x in enumerate(keep):
+        rank[x] = k
+
+    def squeeze(img: list[int]) -> list[int]:
+        img = Permutation._of(img).restrict(keep).image  # skips the dead
+        return [rank[img[x]] for x in keep]
+
+    def ranked(classes):
+        return [(frozenset(rank[x] for x in s if x not in dead), nm) for s, nm in classes]
+
+    out = _build(squeeze(tau), squeeze(psi), squeeze(iota), ranked(vertices),
+                 ranked(hyperedges), [h.label_names[x - 18] for x in keep[18:]], 18)
     cb = out.counts()
     if cb.eps != eps_before or cb.f != f_before + 3:
         raise HypermapError(
@@ -387,24 +381,23 @@ def add_pendant_vertex(h: Hypermap, edge: int, position: int) -> Hypermap:
     ``position`` is a label in the hyperedge's cycle pair; the new label pair
     is spliced immediately before it (mirrored on the other cycle).  The
     Euler genus never changes; this is asserted.
+
+    Numbering as the module says; ``p<v+1>`` comes last, and so does the
+    grown hyperedge.
     """
     if not 0 <= edge < h.e:
         raise HypermapError(f"no hyperedge with index {edge}")
     if position not in h.hyperedge_sets[edge]:
         raise BadCorner(f"label {position} is not on hyperedge index {edge}")
     eps_before = h.counts().eps
-    asm = _Assembly()
-    asm.copy_from(h, 0, skip_hyperedges=frozenset({edge}))
-    asm.keep_externals(h, 0)
-    s, s_mirror = asm.fresh_pair()
-    rules = {position: [s, position],
-             h.iota(position): [h.iota(position), s_mirror]}
-    primary = _rewrite(h.hyperedge_cycle(edge), rules)
-    asm.hyperedge_primaries.append((primary, h.hyperedge_names[edge]))
-    asm.vertex_primaries.append(([s], f"p{h.v + 1}"))
-    _dedupe(asm.vertex_primaries)
-    _dedupe(asm.hyperedge_primaries)
-    out = asm.build()
+    tau, psi, iota = _flags(1, h)
+    _splice(psi, iota, position + 2, 1)
+    vertices = (_classes(h.vertex_sets, h.vertex_names, 2)
+                + [(frozenset({0, 1}), f"p{h.v + 1}")])
+    grown = frozenset(x + 2 for x in h.hyperedge_sets[edge]) | {0, 1}
+    hyperedges = (_classes(h.hyperedge_sets, h.hyperedge_names, 2, [edge])
+                  + [(grown, h.hyperedge_names[edge])])
+    out = _build(tau, psi, iota, vertices, hyperedges, h.label_names, 2)
     if out.counts().eps != eps_before:
         raise HypermapError("pendant insertion changed the Euler genus")
     return out

@@ -191,22 +191,26 @@ def build_oriented(vertex_rotations: Sequence[tuple[str, Sequence[int]]],
     vertex rotation and once in one hyperedge rotation.  Incidence ``k``
     carries the label pair ``(2k, 2k+1)``.
     """
-    k = sum(len(rot) for _, rot in vertex_rotations)
-    iota = Permutation.from_cycles([(2 * i, 2 * i + 1) for i in range(k)], 2 * k)
-    vpairs = []
-    for _, rot in vertex_rotations:
-        primary = [2 * i for i in rot]
-        mirror = [2 * i + 1 for i in reversed(rot)]
-        vpairs.append((primary, mirror))
-    epairs = []
-    for _, rot in edge_rotations:
-        primary = [2 * i for i in rot]
-        mirror = [2 * i + 1 for i in reversed(rot)]
-        epairs.append((primary, mirror))
-    return Hypermap.from_parts(
-        vpairs, epairs, iota=iota,
-        vertex_names=[nm for nm, _ in vertex_rotations],
+    n = 2 * sum(len(rot) for _, rot in vertex_rotations)
+
+    def rotations(named):
+        # incidence order on the even labels, the reverse on the odd ones
+        img = list(range(n))
+        for _, rot in named:
+            for i, j in zip(rot, [*rot[1:], *rot[:1]]):
+                img[2 * i], img[2 * j + 1] = 2 * j, 2 * i + 1
+        # from_flags' mirror-axiom check rejects an image that is no bijection
+        return (Permutation._of(img),
+                [frozenset(2 * i + b for i in rot for b in (0, 1)) for _, rot in named])
+
+    tau, vertex_sets = rotations(vertex_rotations)
+    psi, hyperedge_sets = rotations(edge_rotations)
+    return Hypermap.from_flags(
+        tau, psi, Permutation._of([x ^ 1 for x in range(n)]),
+        hyperedge_sets=hyperedge_sets,
         hyperedge_names=[nm for nm, _ in edge_rotations],
+        vertex_sets=vertex_sets,
+        vertex_names=[nm for nm, _ in vertex_rotations],
     )
 
 

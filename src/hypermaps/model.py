@@ -110,26 +110,26 @@ def _paired_classes(perm: Permutation, iota: Permutation, kind: str):
     """Group the orbits of ``perm`` into mirror pairs under ``iota``.
 
     Returns a list of frozensets (one per class, ordered by smallest label).
-    A self-paired orbit is rejected.
+    A self-paired orbit is rejected.  ``iota`` must map orbits onto orbits.
     """
-    orbit_of: dict[int, int] = {}
-    orbits = perm.orbits()
-    for idx, cyc in enumerate(orbits):
-        for x in cyc:
-            orbit_of[x] = idx
+    img, mirror = perm.image, iota.image
+    mark = [False] * len(img)
     classes = []
-    seen = [False] * len(orbits)
-    for idx, cyc in enumerate(orbits):
-        if seen[idx]:
+    for start in range(len(img)):
+        if mark[start]:
             continue
-        partner = orbit_of[iota(cyc[0])]
-        if partner == idx:
-            raise SelfPairedOrbit(
-                f"{kind} orbit {cyc} is its own mirror image under iota"
-            )
-        seen[idx] = True
-        seen[partner] = True
-        classes.append(frozenset(cyc) | frozenset(orbits[partner]))
+        labels = []
+        for first in (start, mirror[start]):
+            if mark[first]:  # the mirror lies on the orbit just walked
+                raise SelfPairedOrbit(
+                    f"{kind} orbit {tuple(labels)} is its own mirror image under iota"
+                )
+            y = first
+            while not mark[y]:
+                mark[y] = True
+                labels.append(y)
+                y = img[y]
+        classes.append(frozenset(labels))
     return classes
 
 
@@ -594,12 +594,26 @@ def solve_iota(tau: Permutation, psi: Permutation,
     return Permutation(iota)
 
 
+def _dedupe(names: Sequence[str]) -> list[str]:
+    """Class names made unique in order: a name already taken gets primes
+    appended until it is free, so the first occurrence keeps its name."""
+    seen: set[str] = set()
+    out = []
+    for nm in names:
+        while nm in seen:
+            nm += "'"
+        seen.add(nm)
+        out.append(nm)
+    return out
+
+
 def disjoint_union(h1: Hypermap, h2: Hypermap) -> Hypermap:
     """Disjoint union, with the second hypermap's labels shifted upward.
 
     External label names of the second part are renumbered after the first
     part's maximum so the combined symbol table stays collision-free; class
-    names from the second part get a suffix when they would collide.
+    names are made unique by :func:`_dedupe`, in the order first part, then
+    second part.
     """
     n1 = h1.n
     tau = Permutation(list(h1.tau.image) + [y + n1 for y in h2.tau.image])
@@ -607,15 +621,11 @@ def disjoint_union(h1: Hypermap, h2: Hypermap) -> Hypermap:
     iota = Permutation(list(h1.iota.image) + [y + n1 for y in h2.iota.image])
     base = max(h1.label_names)
     label_names = list(h1.label_names) + [base + k + 1 for k in range(h2.n)]
-    vnames = list(h1.vertex_names)
-    for name in h2.vertex_names:
-        vnames.append(name if name not in vnames else name + "'")
-    enames = list(h1.hyperedge_names)
-    for name in h2.hyperedge_names:
-        enames.append(name if name not in enames else name + "'")
     return Hypermap(
         tau, psi, iota,
         list(h1.vertex_sets) + [frozenset(x + n1 for x in s) for s in h2.vertex_sets],
         list(h1.hyperedge_sets) + [frozenset(x + n1 for x in s) for s in h2.hyperedge_sets],
-        vnames, enames, label_names,
+        _dedupe(h1.vertex_names + h2.vertex_names),
+        _dedupe(h1.hyperedge_names + h2.hyperedge_names),
+        label_names,
     )

@@ -48,8 +48,10 @@ class Permutation:
 
         Skips the bijection check of the public constructor.  Only code
         whose result is a bijection whenever its operands are calls it: the
-        products and constructors of this class, and the restricted and
-        reversed ``psi`` built by :mod:`hypermaps.duality`.
+        products and constructors of this class, the restricted and
+        reversed ``psi`` built by :mod:`hypermaps.duality`, and flag arrays
+        handed straight to ``Hypermap.from_flags``, whose mirror-axiom check
+        fails on any image that is not a bijection.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "_img", tuple(image))
@@ -206,45 +208,48 @@ class Permutation:
         return parse_cycles(text, size=size)
 
 
-_TOKEN = re.compile(r"\(|\)|\d+|[,\s]+|.")
+# Commas, spaces, tabs and line breaks separate labels.  Once they are
+# spaces, any character but a space, a parenthesis or a digit is an error.
+_SEPARATORS = str.maketrans(",\t\r\n", "    ")
+_STRAY = re.compile(r"[^\d ()]")
 
 
 def parse_cycle_lists(text: str) -> list[list[int]]:
     """Split cycle notation into raw label lists (positive integers).
 
-    Commas and whitespace both separate labels.  No disjointness is enforced
-    here; callers decide what repetition means.
+    Commas, spaces, tabs and line breaks separate labels.  No disjointness
+    is enforced here; callers decide what repetition means.  The text is
+    split at each ``)``: every piece but the last holds one cycle after its
+    ``(``, and the last piece holds none.
     """
+    text = text.translate(_SEPARATORS)
+    stray = _STRAY.search(text)
+    if stray:
+        raise CycleFormatError(f"unexpected character {stray.group()!r} in cycle notation")
     cycles: list[list[int]] = []
-    current: list[int] | None = None
-    for tok in _TOKEN.finditer(text):
-        t = tok.group()
-        if t == "(":
-            if current is not None:
-                raise CycleFormatError("nested '(' in cycle notation")
-            current = []
-        elif t == ")":
-            if current is None:
-                raise CycleFormatError("unmatched ')' in cycle notation")
-            if current:  # "()" is the identity marker and adds no cycle
-                cycles.append(current)
-            current = None
-        elif t.isdecimal():
-            if current is None:
-                raise CycleFormatError(f"label {t} outside any cycle")
+    *closed, rest = text.split(")")
+    for piece in closed:
+        outside, paren, inside = piece.partition("(")
+        if outside.strip(" "):
+            raise CycleFormatError(f"label {outside.split()[0]} outside any cycle")
+        if not paren:
+            raise CycleFormatError("unmatched ')' in cycle notation")
+        if "(" in inside:
+            raise CycleFormatError("nested '(' in cycle notation")
+        tokens = inside.split()
+        if tokens:  # "()" is the identity marker and adds no cycle
             try:
-                label = int(t)
+                cycles.append(list(map(int, tokens)))
             except ValueError:  # more digits than int() converts
-                raise CycleFormatError(f"label of {len(t)} digits") from None
-            if label <= 0:
-                raise CycleFormatError("labels must be positive integers")
-            current.append(label)
-        elif t.strip(", \t\r\n") == "":
-            continue
-        else:
-            raise CycleFormatError(f"unexpected character {t!r} in cycle notation")
-    if current is not None:
+                longest = max(map(len, tokens))
+                raise CycleFormatError(f"label of {longest} digits") from None
+    outside, paren, _ = rest.partition("(")
+    if outside.strip(" "):
+        raise CycleFormatError(f"label {outside.split()[0]} outside any cycle")
+    if paren:
         raise CycleFormatError("unterminated cycle; missing ')'")
+    if cycles and min(map(min, cycles)) <= 0:
+        raise CycleFormatError("labels must be positive integers")
     return cycles
 
 

@@ -136,80 +136,61 @@ def walsh_build(spec: BipartiteMapSpec) -> tuple[Hypermap, Hypermap]:
     edge_index = {e.name: k for k, e in enumerate(spec.edges)}
     n = 4 * len(spec.edges)
 
-    # Edge permutation from the twists: labels 4k..4k+3 internally.
-    psi_pairs = []
+    # Edge permutation from the twists: labels 4k..4k+3 internally, the
+    # cycles (4k 4k+2)(4k+1 4k+3), or (4k 4k+3)(4k+1 4k+2) when twisted.
+    psi = []
     for k, e in enumerate(spec.edges):
         b = 4 * k
-        if e.twist == 1:
-            psi_pairs.append(([b, b + 2], [b + 1, b + 3]))
-        else:
-            psi_pairs.append(([b, b + 3], [b + 1, b + 2]))
+        psi += [b + 2, b + 3, b, b + 1] if e.twist == 1 else [b + 3, b + 2, b + 1, b]
 
     def end_labels(edge: BipartiteEdge, side: str) -> tuple[int, int]:
         """(left, right) labels of the edge's end on the given side."""
         b = 4 * edge_index[edge.name]
         return (b, b + 1) if edge.u_side == side else (b + 2, b + 3)
 
-    tau_pairs = []
+    # Bi-rotations: the left labels in rotation order, the right ones reversed.
+    tau = list(range(n))
+    vertex_sets = []
     for w in spec.vertices:
-        lefts, rights = [], []
-        for name in w.rotation:
-            l, r = end_labels(spec.edges[edge_index[name]], w.side)
-            lefts.append(l)
-            rights.append(r)
-        tau_pairs.append((lefts, list(reversed(rights))))
+        ends = [end_labels(spec.edges[edge_index[name]], w.side) for name in w.rotation]
+        for (l, r), (l2, r2) in zip(ends, ends[1:] + ends[:1]):
+            tau[l], tau[r2] = l2, r
+        vertex_sets.append(frozenset(x for end in ends for x in end))
 
-    iota = Permutation.from_cycles(
-        [(2 * j, 2 * j + 1) for j in range(n // 2)], n
-    )
-    m = Hypermap.from_parts(
-        tau_pairs, psi_pairs, iota=iota,
-        vertex_names=[w.name for w in spec.vertices],
+    # Every array is a bijection for a validated spec, and from_flags'
+    # mirror-axiom check would reject any that is not.
+    m = Hypermap.from_flags(
+        Permutation._of(tau), Permutation._of(psi),
+        Permutation._of([x ^ 1 for x in range(n)]),
+        hyperedge_sets=[frozenset(range(4 * k, 4 * k + 4)) for k in range(len(spec.edges))],
         hyperedge_names=[e.name for e in spec.edges],
+        vertex_sets=vertex_sets,
+        vertex_names=[w.name for w in spec.vertices],
     )
 
-    # Extraction: D = labels at V-side endpoints.
-    v_side = [w for w in spec.vertices if w.side == "V"]
-    e_side = [w for w in spec.vertices if w.side == "E"]
-    d: set[int] = set()
-    for w in v_side:
-        for name in w.rotation:
-            l, r = end_labels(spec.edges[edge_index[name]], "V")
-            d.update((l, r))
-    order = sorted(d)
-    dense = {lbl: i for i, lbl in enumerate(order)}
+    # Extraction: D = the labels at V-side ends.  Each edge has one V end,
+    # and edge k's becomes the label pair (2k, 2k + 1) of H.
+    order = [x for e in spec.edges for x in end_labels(e, "V")]
+    dense = {x: i for i, x in enumerate(order)}
 
     tau_d = m.tau.restrict(order)
     face_d = m.psi.then(m.tau).restrict(order)
     psi_h_masked = face_d.then(tau_d.inverse())
 
     def extract(p: Permutation) -> Permutation:
-        return Permutation([dense[p(lbl)] for lbl in order])
+        # p maps D onto itself, so its compaction is a bijection
+        return Permutation._of([dense[p(lbl)] for lbl in order])
 
-    tau_h = extract(tau_d)
-    psi_h = extract(psi_h_masked)
-    iota_h = extract(m.iota)
+    def pairs(w: BipartiteVertex) -> frozenset[int]:
+        return frozenset(2 * edge_index[name] + j for name in w.rotation for j in (0, 1))
 
-    vertex_sets = []
-    for w in v_side:
-        labels = set()
-        for name in w.rotation:
-            l, r = end_labels(spec.edges[edge_index[name]], "V")
-            labels.update((dense[l], dense[r]))
-        vertex_sets.append(frozenset(labels))
-    hyperedge_sets = []
-    for w in e_side:
-        labels = set()
-        for name in w.rotation:
-            l, r = end_labels(spec.edges[edge_index[name]], "V")
-            labels.update((dense[l], dense[r]))
-        hyperedge_sets.append(frozenset(labels))
-
+    v_side = [w for w in spec.vertices if w.side == "V"]
+    e_side = [w for w in spec.vertices if w.side == "E"]
     h = Hypermap.from_flags(
-        tau_h, psi_h, iota_h,
-        hyperedge_sets=hyperedge_sets,
+        extract(tau_d), extract(psi_h_masked), extract(m.iota),
+        hyperedge_sets=[pairs(w) for w in e_side],
         hyperedge_names=[w.name for w in e_side],
-        vertex_sets=vertex_sets,
+        vertex_sets=[pairs(w) for w in v_side],
         vertex_names=[w.name for w in v_side],
         label_names=[lbl + 1 for lbl in order],
     )

@@ -37,29 +37,21 @@ def random_bipartite_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
     e_names = [f"w{i}" for i in range(ne)]
     edges = []
     rot = {name: [] for name in v_names + e_names}
-    # spanning tree over the union, alternating sides
+    # spanning tree over the union, alternating sides: it grows from v0 and
+    # the first hyperedge drawn, so every node after them has a joined
+    # neighbour on the other side
     joined_v, joined_e = [v_names[0]], []
     pool = v_names[1:] + e_names
     rng.shuffle(pool)
+    first_e = next(i for i, node in enumerate(pool) if node.startswith("w"))
+    pool.insert(0, pool.pop(first_e))
     for node in pool:
-        if node.startswith("v"):
-            if not joined_e:
-                joined_v.append(node)
-                continue
-            other = rng.choice(joined_e)
-        else:
-            other = rng.choice(joined_v)
+        other = rng.choice(joined_e if node.startswith("v") else joined_v)
         bname = f"b{len(edges)}"
         edges.append(bname)
         rot[node].append(bname)
         rot[other].append(bname)
         (joined_v if node.startswith("v") else joined_e).append(node)
-    if not joined_e:  # no hyperedge reached: force one edge
-        bname = f"b{len(edges)}"
-        edges.append(bname)
-        rot[v_names[0]].append(bname)
-        rot[e_names[0]].append(bname)
-        joined_e.append(e_names[0])
     for _ in range(rng.randint(0, 3)):
         bname = f"b{len(edges)}"
         edges.append(bname)
@@ -67,8 +59,8 @@ def random_bipartite_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
         rot[rng.choice(joined_e)].append(bname)
     for name in rot:
         rng.shuffle(rot[name])
-    vertices = [BipartiteVertex(nm, "V", tuple(rot[nm])) for nm in v_names if rot[nm]]
-    vertices += [BipartiteVertex(nm, "E", tuple(rot[nm])) for nm in e_names if rot[nm]]
+    vertices = [BipartiteVertex(nm, "V", tuple(rot[nm])) for nm in v_names]
+    vertices += [BipartiteVertex(nm, "E", tuple(rot[nm])) for nm in e_names]
     spec_edges = [
         BipartiteEdge(
             nm,
@@ -78,6 +70,25 @@ def random_bipartite_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
         for nm in edges
     ]
     return BipartiteMapSpec(tuple(vertices), tuple(spec_edges))
+
+
+def random_disconnected_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
+    """Two random connected bipartite maps in one spec, a hypermap of two
+    components: their vertices and their edges (so their labels) shuffled
+    together, the second map's names primed."""
+    rng = random.Random(seed)
+    first = random_bipartite_spec(rng.randrange(10**6), twisted)
+    second = random_bipartite_spec(rng.randrange(10**6), twisted)
+    vertices = list(first.vertices) + [
+        BipartiteVertex(w.name + "'", w.side, tuple(b + "'" for b in w.rotation))
+        for w in second.vertices
+    ]
+    edges = list(first.edges) + [
+        BipartiteEdge(e.name + "'", e.twist, e.u_side) for e in second.edges
+    ]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return BipartiteMapSpec(tuple(vertices), tuple(edges))
 
 
 def incidence_components(h, edges) -> int:
@@ -110,9 +121,14 @@ def _spec_map(seed: int):
     return walsh_build(random_bipartite_spec(seed, twisted=True))[1]
 
 
-# A twisted random map, or the disjoint union of two.
-spec_maps = st.one_of(
-    st.builds(_spec_map, st.integers(0, 10**6)),
+# A twisted random map with two components: one spec, or the disjoint union
+# of two maps.
+disconnected_spec_maps = st.one_of(
+    st.builds(lambda seed: walsh_build(random_disconnected_spec(seed))[1],
+              st.integers(0, 10**6)),
     st.builds(lambda a, b: disjoint_union(_spec_map(a), _spec_map(b)),
               st.integers(0, 10**6), st.integers(0, 10**6)),
 )
+
+# A twisted random map, connected or not.
+spec_maps = st.one_of(st.builds(_spec_map, st.integers(0, 10**6)), disconnected_spec_maps)

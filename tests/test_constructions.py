@@ -1,7 +1,7 @@
 """Join, bar-amalgamation, subdivision and pendant vertices."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hypermaps.constructions import (
     AmalgamationPicks,
@@ -27,10 +27,15 @@ from hypermaps.errors import (
 from hypermaps.genuspoly import euler_genus_polynomial
 from hypermaps.generators import (
     cycle_hypertree,
+    fig7_example,
     ladder,
     ladder_tree,
+    plane_example,
     star,
+    torus_example,
 )
+from hypermaps.hmf import write_hmf
+from hypermaps.walsh import BipartiteEdge, BipartiteMapSpec, BipartiteVertex, walsh_build
 
 from conftest import spec_maps
 
@@ -257,6 +262,28 @@ def test_constructions_validate(fig7):
 
 
 @settings(max_examples=60, deadline=None)
+@given(h1=spec_maps, h2=spec_maps, x=st.integers(0, 99), y=st.integers(0, 99))
+def test_splices_on_random_maps(h1, h2, x, y):
+    # the count changes of each construction, on twisted and disconnected maps
+    x, y = x % h1.n, y % h2.n
+    c1, c2 = h1.counts(), h2.counts()
+    out = join(h1, CornerRef(h1.vertex_of(x), x), h2, CornerRef(h2.vertex_of(y), y))
+    cb = out.counts()
+    assert (out.v, out.e, out.n) == (h1.v + h2.v - 1, h1.e + h2.e, h1.n + h2.n)
+    assert cb.c == c1.c + c2.c - 1 and cb.eps == c1.eps + c2.eps
+    assert len(set(out.vertex_names)) == out.v
+    out = bar_amalgamation(h1, AmalgamationPicks((CornerRef(h1.vertex_of(x), x),)),
+                           h2, AmalgamationPicks((CornerRef(h2.vertex_of(y), y),)))
+    assert (out.v, out.e, out.n) == (h1.v + h2.v, h1.e + h2.e + 1, h1.n + h2.n + 4)
+    assert out.counts().c == c1.c + c2.c - 1
+    edge = h1.hyperedge_of(x)
+    out = add_pendant_vertex(h1, edge, x)
+    assert out.incidences(out.e - 1) == h1.incidences(edge) + 1
+    for edge in (i for i in range(h1.e) if h1.incidences(i) == 3):
+        assert subdivide3(h1, edge).counts().eps == c1.eps
+
+
+@settings(max_examples=60, deadline=None)
 @given(h=spec_maps)
 def test_face_classes_are_partial_dual_vertex_classes(h):
     # ids number the classes in order of their least label
@@ -266,3 +293,233 @@ def test_face_classes_are_partial_dual_vertex_classes(h):
             for x in s:
                 expected[x] = i
         assert face_class_of_labels(h, mask) == expected
+
+
+# -- pinned output -------------------------------------------------------------
+
+
+def _at(h, v, k):
+    """The corner of vertex ``v`` at its ``k``-th smallest label."""
+    return CornerRef(v, sorted(h.vertex_sets[v])[k])
+
+
+def _twisted_digon():
+    spec = BipartiteMapSpec(
+        (BipartiteVertex("a", "V", ("b0", "b1")),
+         BipartiteVertex("w", "E", ("b0", "b1"))),
+        (BipartiteEdge("b0", 1, "V"), BipartiteEdge("b1", -1, "V")),
+    )
+    return walsh_build(spec)[1]
+
+
+def _twisted_triple():
+    """A non-orientable map whose 3-incidence hyperedge meets one vertex
+    three times."""
+    spec = BipartiteMapSpec(
+        (BipartiteVertex("a", "V", ("b0", "b1", "b2")),
+         BipartiteVertex("c", "V", ("b3",)),
+         BipartiteVertex("w", "E", ("b0", "b2", "b1")),
+         BipartiteVertex("x", "E", ("b3",))),
+        (BipartiteEdge("b0", 1, "V"), BipartiteEdge("b1", -1, "E"),
+         BipartiteEdge("b2", 1, "V"), BipartiteEdge("b3", 1, "V")),
+    )
+    return walsh_build(spec)[1]
+
+
+def _golden_case(name):
+    plane, torus, fig7 = plane_example(), torus_example(), fig7_example()
+    digon, s2, s3 = _twisted_digon(), star(2), star(3)
+    build = {
+        "join_plane_torus": lambda: join(plane, _at(plane, 0, 0), torus, _at(torus, 1, 1)),
+        # star(2) keeps its own v1, so the glued vertex (fig7's v1) is primed
+        "join_name_order": lambda: join(fig7, _at(fig7, 0, 0), s2, _at(s2, 1, 0)),
+        "bar_one_pick": lambda: bar_amalgamation(
+            fig7, AmalgamationPicks((_at(fig7, 0, 1),)),
+            torus, AmalgamationPicks((_at(torus, 2, 3),))),
+        "bar_two_picks": lambda: bar_amalgamation(
+            plane, AmalgamationPicks((_at(plane, 0, 0), _at(plane, 3, 1))),
+            torus, AmalgamationPicks((_at(torus, 1, 1), _at(torus, 3, 4)))),
+        "subdivide_fig7": lambda: subdivide3(fig7, 1),
+        "subdivide_star3": lambda: subdivide3(s3, 0),
+        "pendant_torus": lambda: add_pendant_vertex(
+            torus, 2, sorted(torus.hyperedge_sets[2])[5]),
+        "join_digon": lambda: join(digon, _at(digon, 0, 1), digon, _at(digon, 0, 2)),
+        "bar_digon": lambda: bar_amalgamation(
+            digon, AmalgamationPicks((_at(digon, 0, 3),)),
+            s3, AmalgamationPicks((_at(s3, 0, 0), _at(s3, 2, 0)))),
+        "subdivide_twisted": lambda: subdivide3(_twisted_triple(), 0),
+        "pendant_digon": lambda: add_pendant_vertex(digon, 0, 1),
+    }
+    return build[name]()
+
+
+# write_hmf of each construction, label numbering and class names included,
+# as the cycle-list implementation of the constructions printed it.
+GOLDEN = {
+    'join_plane_torus': (
+        'hmf 1\n'
+        'labels 50\n'
+        'vertex v2 (9 47 31) (10 32 48)\n'
+        'vertex v3 (15 43) (16 44)\n'
+        'vertex v4 (19 21 39) (20 40 22)\n'
+        'vertex v5 (25 33) (26 34)\n'
+        'vertex v1 (49 51 53) (50 54 52)\n'
+        "vertex v3' (57 69 71) (58 72 70)\n"
+        "vertex v4' (59 61 63 73) (60 74 64 62)\n"
+        "vertex v1' (1 5 56 68 66) (2 65 67 55 6)\n"
+        'hyperedge e1 (1 31 25 21) (2 22 26 32)\n'
+        'hyperedge e2 (5 19 15 9) (6 10 16 20)\n'
+        'hyperedge e3 (33 47 43 39) (34 40 44 48)\n'
+        "hyperedge e1' (49 71 73) (50 74 72)\n"
+        "hyperedge e2' (51 63 65) (52 66 64)\n"
+        "hyperedge e3' (53 55 57 59) (54 60 58 56)\n"
+        'hyperedge e4 (61 69 67) (62 68 70)\n'
+        'iota (1 2)(5 6)(9 10)(15 16)(19 20)(21 22)(25 26)(31 32)(33 34)(39 40)(43 44)(47 48)(49 50)(51 52)(53 54)(55 56)(57 58)(59 60)(61 62)(63 64)(65 66)(67 68)(69 70)(71 72)(73 74)\n'
+    ),
+    'join_name_order': (
+        'hmf 1\n'
+        'labels 28\n'
+        'vertex v2 (7 13 19) (8 20 14)\n'
+        'vertex v3 (3 9 5) (4 6 10)\n'
+        'vertex v4 (11 23 15) (12 16 24)\n'
+        'vertex v1 (25) (26)\n'
+        "vertex v1' (1 17 21 27) (2 22 18 28)\n"
+        'hyperedge e1 (1 5 19) (4 18 8)\n'
+        'hyperedge e2 (2 24 10) (3 11 21)\n'
+        'hyperedge e3 (6 14 12) (7 9 15)\n'
+        'hyperedge e4 (13 23 17) (16 20 22)\n'
+        "hyperedge e1' (25 27) (26 28)\n"
+        'iota (1 18)(2 21)(3 10)(4 5)(6 9)(7 14)(8 19)(11 24)(12 15)(13 20)(16 23)(17 22)(25 26)(27 28)\n'
+    ),
+    'bar_one_pick': (
+        'hmf 1\n'
+        'labels 54\n'
+        'vertex v2 (7 13 19) (8 20 14)\n'
+        'vertex v3 (3 9 5) (4 6 10)\n'
+        'vertex v4 (11 23 15) (12 16 24)\n'
+        'vertex v1 (29 31 33) (30 34 32)\n'
+        "vertex v2' (35 45 47) (36 48 46)\n"
+        "vertex v4' (39 41 43 53) (40 54 44 42)\n"
+        "vertex v1' (1 17 21 27) (2 22 18 28)\n"
+        "vertex v3' (25 51 37 49) (26 50 38 52)\n"
+        'hyperedge e1 (1 5 19) (4 18 8)\n'
+        'hyperedge e2 (2 24 10) (3 11 21)\n'
+        'hyperedge e3 (6 14 12) (7 9 15)\n'
+        'hyperedge e4 (13 23 17) (16 20 22)\n'
+        "hyperedge e1' (29 51 53) (30 54 52)\n"
+        "hyperedge e2' (31 43 45) (32 46 44)\n"
+        "hyperedge e3' (33 35 37 39) (34 40 38 36)\n"
+        "hyperedge e4' (41 49 47) (42 48 50)\n"
+        'hyperedge bar (25 27) (26 28)\n'
+        'iota (1 18)(2 21)(3 10)(4 5)(6 9)(7 14)(8 19)(11 24)(12 15)(13 20)(16 23)(17 22)(25 26)(27 28)(29 30)(31 32)(33 34)(35 36)(37 38)(39 40)(41 42)(43 44)(45 46)(47 48)(49 50)(51 52)(53 54)\n'
+    ),
+    'bar_two_picks': (
+        'hmf 1\n'
+        'labels 58\n'
+        'vertex v2 (9 47 31) (10 32 48)\n'
+        'vertex v3 (15 43) (16 44)\n'
+        'vertex v5 (25 33) (26 34)\n'
+        'vertex v1 (57 59 61) (58 62 60)\n'
+        "vertex v3' (65 77 79) (66 80 78)\n"
+        "vertex v1' (2 55 6) (1 5 56)\n"
+        'vertex v4 (20 40 22 53) (19 54 21 39)\n'
+        "vertex v2' (51 73 75 63) (52 64 76 74)\n"
+        "vertex v4' (49 71 81 67 69) (50 70 68 82 72)\n"
+        'hyperedge e1 (1 31 25 21) (2 22 26 32)\n'
+        'hyperedge e2 (5 19 15 9) (6 10 16 20)\n'
+        'hyperedge e3 (33 47 43 39) (34 40 44 48)\n'
+        "hyperedge e1' (57 79 81) (58 82 80)\n"
+        "hyperedge e2' (59 71 73) (60 74 72)\n"
+        "hyperedge e3' (61 63 65 67) (62 68 66 64)\n"
+        'hyperedge e4 (69 77 75) (70 76 78)\n'
+        'hyperedge bar (49 53 55 51) (50 52 56 54)\n'
+        'iota (1 2)(5 6)(9 10)(15 16)(19 20)(21 22)(25 26)(31 32)(33 34)(39 40)(43 44)(47 48)(49 50)(51 52)(53 54)(55 56)(57 58)(59 60)(61 62)(63 64)(65 66)(67 68)(69 70)(71 72)(73 74)(75 76)(77 78)(79 80)(81 82)\n'
+    ),
+    'subdivide_fig7': (
+        'hmf 1\n'
+        'labels 36\n'
+        'vertex v2 (7 13 19) (8 20 14)\n'
+        'vertex v1 (1 17 26 40) (18 41 27 22)\n'
+        'vertex v3 (5 32 28 9) (4 6 29 33)\n'
+        'vertex v4 (15 38 34 23) (12 16 35 39)\n'
+        'vertex u (24 30 36) (25 37 31)\n'
+        'hyperedge e1 (1 5 19) (4 18 8)\n'
+        'hyperedge e3 (6 14 12) (7 9 15)\n'
+        'hyperedge e4 (13 23 17) (16 20 22)\n'
+        'hyperedge e2_1 (36 38 40) (37 41 39)\n'
+        'hyperedge e2_2 (30 32 34) (31 35 33)\n'
+        'hyperedge e2_3 (24 26 28) (25 29 27)\n'
+        'iota (1 18)(4 5)(6 9)(7 14)(8 19)(12 15)(13 20)(16 23)(17 22)(24 25)(26 27)(28 29)(30 31)(32 33)(34 35)(36 37)(38 39)(40 41)\n'
+    ),
+    'subdivide_star3': (
+        'hmf 1\n'
+        'labels 18\n'
+        'vertex v1 (3 17) (4 18)\n'
+        'vertex v2 (11 15) (12 16)\n'
+        'vertex v3 (5 9) (6 10)\n'
+        'vertex u (1 7 13) (2 14 8)\n'
+        'hyperedge e1_1 (13 15 17) (14 18 16)\n'
+        'hyperedge e1_2 (7 9 11) (8 12 10)\n'
+        'hyperedge e1_3 (1 3 5) (2 6 4)\n'
+        'iota (1 2)(3 4)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)(17 18)\n'
+    ),
+    'pendant_torus': (
+        'hmf 1\n'
+        'labels 28\n'
+        'vertex v1 (1 5 9) (2 10 6)\n'
+        'vertex v2 (15 35 37) (16 38 36)\n'
+        'vertex v3 (19 43 45) (20 46 44)\n'
+        'vertex v4 (23 25 29 51) (24 52 30 26)\n'
+        'vertex p5 (53) (54)\n'
+        'hyperedge e1 (1 45 51) (2 52 46)\n'
+        'hyperedge e2 (5 29 35) (6 36 30)\n'
+        'hyperedge e4 (25 43 37) (26 38 44)\n'
+        'hyperedge e3 (9 15 19 53 23) (10 24 54 20 16)\n'
+        'iota (1 2)(5 6)(9 10)(15 16)(19 20)(23 24)(25 26)(29 30)(35 36)(37 38)(43 44)(45 46)(51 52)(53 54)\n'
+    ),
+    'join_digon': (
+        'hmf 1\n'
+        'labels 8\n'
+        'vertex a (1 8 10 5) (2 6 9 7)\n'
+        'hyperedge w (1 6) (2 5)\n'
+        "hyperedge w' (7 10) (8 9)\n"
+        'iota (1 2)(5 6)(7 8)(9 10)\n'
+    ),
+    'bar_digon': (
+        'hmf 1\n'
+        'labels 16\n'
+        'vertex v2 (15) (16)\n'
+        'vertex a (1 5 11) (2 12 6)\n'
+        'vertex v1 (9 14) (10 13)\n'
+        'vertex v3 (7 18) (8 17)\n'
+        'hyperedge w (1 6) (2 5)\n'
+        'hyperedge e1 (13 15 17) (14 18 16)\n'
+        'hyperedge bar (7 11 9) (8 10 12)\n'
+        'iota (1 2)(5 6)(7 8)(9 10)(11 12)(13 14)(15 16)(17 18)\n'
+    ),
+    'subdivide_twisted': (
+        'hmf 1\n'
+        'labels 20\n'
+        'vertex c (13) (14)\n'
+        'vertex a (17 31 29 25 20 24) (18 23 19 26 30 32)\n'
+        'vertex u (15 21 27) (16 28 22)\n'
+        'hyperedge x (13) (14)\n'
+        'hyperedge w_1 (27 29 31) (28 32 30)\n'
+        'hyperedge w_2 (21 23 25) (22 26 24)\n'
+        'hyperedge w_3 (15 17 19) (16 20 18)\n'
+        'iota (13 14)(15 16)(17 18)(19 20)(21 22)(23 24)(25 26)(27 28)(29 30)(31 32)\n'
+    ),
+    'pendant_digon': (
+        'hmf 1\n'
+        'labels 6\n'
+        'vertex a (1 5) (2 6)\n'
+        'vertex p2 (7) (8)\n'
+        'hyperedge w (1 7 6) (2 5 8)\n'
+        'iota (1 2)(5 6)(7 8)\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_construction_output_is_pinned(name):
+    assert write_hmf(_golden_case(name)) == GOLDEN[name]

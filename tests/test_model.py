@@ -17,7 +17,12 @@ from hypermaps.errors import (
 from hypermaps.model import Hypermap, disjoint_union, solve_iota
 from hypermaps.perm import Permutation
 
-from conftest import incidence_components, random_bipartite_spec, spec_maps
+from conftest import (
+    incidence_components,
+    random_bipartite_spec,
+    random_disconnected_spec,
+    spec_maps,
+)
 from hypermaps.walsh import walsh_build
 
 
@@ -196,6 +201,23 @@ def test_components_and_disjoint_union(plane):
     assert cb.eps == 2 * single.eps and cb.c == 2
 
 
+def test_disjoint_union_names_stay_unique():
+    from hypermaps.generators import star
+
+    three = disjoint_union(disjoint_union(star(2), star(2)), star(2))
+    assert three.vertex_names == ("v1", "v2", "v1'", "v2'", "v1''", "v2''")
+    assert three.hyperedge_names == ("e1", "e1'", "e1''")
+    assert three.vertex_index("v1'") == 2 and three.vertex_index("v1''") == 4
+
+
+def test_random_specs_are_connected():
+    # the generator's contract: connected, or two components on request
+    for seed in range(2000):
+        assert walsh_build(random_bipartite_spec(seed))[1].is_connected()
+    for seed in range(200):
+        assert walsh_build(random_disconnected_spec(seed))[1].component_count() == 2
+
+
 def test_relabel_isomorphism(fig7):
     rng = random.Random(7)
     pi = list(range(fig7.n))
@@ -217,9 +239,9 @@ def test_canonical_idempotent(fig7):
 
 def test_orientability_via_twists():
     for seed in range(25):
-        spec = random_bipartite_spec(seed, twisted=False)
-        _, h = walsh_build(spec)
-        assert h.is_orientable()
+        for make in (random_bipartite_spec, random_disconnected_spec):
+            _, h = walsh_build(make(seed, twisted=False))
+            assert h.is_orientable()
 
 
 def test_twisted_digon_nonorientable():
@@ -239,7 +261,7 @@ def test_twisted_digon_nonorientable():
 
 def test_random_specs_preserve_characteristic():
     for seed in range(40):
-        spec = random_bipartite_spec(seed)
+        spec = (random_bipartite_spec if seed % 4 else random_disconnected_spec)(seed)
         m, h = walsh_build(spec)
         assert h.counts().chi == m.counts().chi
         assert h.counts().f == m.counts().f

@@ -1,5 +1,7 @@
 """Permutation arithmetic: products, orbits, restriction, cycle text."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,6 +131,33 @@ def test_parse_errors():
     with pytest.raises(CycleFormatError):
         parse_cycles("(1 x)")
     assert parse_cycles("()", size=3) == Permutation.identity(3)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("((1 2))", "nested '('"),
+    ("(1 2))", "unmatched ')'"),
+    (")(1)", "unmatched ')'"),
+    ("(1 2)(3", "unterminated cycle"),
+    ("(1 x)", "unexpected character 'x'"),
+    ("(1 2) y", "unexpected character 'y'"),
+    ("(1\u00a02)", "unexpected character '\\xa0'"),
+    ("(1\x0b2)", "unexpected character '\\x0b'"),
+    ("(1 \u00b2)", "unexpected character '\u00b2'"),
+    ("(1 -2)", "unexpected character '-'"),
+    ("3 (1 2)", "label 3 outside any cycle"),
+    ("(1 0)", "positive"),
+    ("(00)", "positive"),
+    ("(" + "7" * 5000 + ")", "label of 5000 digits"),
+])
+def test_parse_cycle_lists_error_kinds(text, message):
+    with pytest.raises(CycleFormatError, match=re.escape(message)):
+        parse_cycle_lists(text)
+
+
+def test_parse_cycle_lists_separators():
+    assert parse_cycle_lists(" (1,2 3)\t(4)\r\n() (5,,6) ") == [[1, 2, 3], [4], [5, 6]]
+    assert parse_cycle_lists("(007 \u0663)") == [[7, 3]]  # any decimal digits
+    assert parse_cycle_lists("") == [] and parse_cycle_lists("()()") == []
 
 
 def test_predicates_and_support():
