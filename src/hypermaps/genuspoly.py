@@ -9,40 +9,56 @@ survive:
 
     eps(H^A) = 2c(H) - e(H) + sum_n(H) - f(A) - f(A^c)
 
-so the formula engine reduces to one orbit count of ``psi_A then tau`` per
-subset, done by one numpy kernel with two exact reductions:
-
-* On an orientable hypermap the count runs on one ``<tau, psi>`` orbit (half
-  the labels), where each face pair has exactly one cycle.
-* Subsets come in batches that share the assignment of all but ``k`` "low"
-  hyperedges.  Walking through the fixed hyperedges contracts a batch to a
-  map on the low labels only, plus a count of the cycles that never reach
-  them; the ``2**k`` subsets of the batch are then counted by pointer
-  doubling on the low labels.
-
-Each batch is paired with the batch of the complementary high assignment, so
-f(A) and f(A^c) come out together and only half the batches are counted.
-Workers take steps of pairs from one shared iterator, each into scratch arrays
-of its own that every step reuses, and merge by integer addition, so output
-is identical for any worker count.
-
 Before counting, the formula engine factors the map along its joins.  The
 polynomial of a join is the product of the polynomials of its two parts, so
 the map is split at its separating vertices: cut vertices of the
 vertex-hyperedge incidence graph at which a biconnected block holds one
 contiguous arc of the vertex's cycle, which is what a join splices in.
 Blocks that meet at a hyperedge, or whose labels cross in a vertex's cycle,
-stay in one piece.  Each piece goes through the kernel and the piece
-polynomials are multiplied, so ``2**e`` subsets become ``sum 2**e_i``; a map
-with no split costs one extra linear scan.  ``direct`` never factors.
+stay in one piece.  The piece polynomials are multiplied, so ``2**e``
+subsets become ``sum 2**e_i``; a map with no split costs one extra linear
+scan.  ``direct`` never factors.
+
+Each piece goes to one of two counters of f(A) + f(A^c), whichever has the
+lower cost estimate (:func:`_plan`).  Both count on one ``<tau, psi>`` orbit
+of an orientable map (half the labels, one cycle of every face pair), and on
+all labels with the count halved otherwise.
+
+* The kernel (:class:`_ContractedKernel`) counts ``2**e`` subsets in numpy.
+  Subsets come in batches that share the assignment of all but ``k`` "low"
+  hyperedges; walking through the fixed hyperedges contracts a batch to a
+  map on the low labels plus a count of the cycles that never reach them,
+  and the ``2**k`` subsets of the batch are counted by pointer doubling on
+  the low labels.  Each batch is paired with the batch of the complementary
+  high assignment, so f(A) and f(A^c) come out together.  Workers take steps
+  of pairs from one shared iterator, each into scratch arrays of its own,
+  and merge by integer addition, so output is identical for any worker
+  count.
+* The frontier engine (:class:`_Frontier`) is a transfer matrix, as for the
+  Tutte polynomial (Sekine, Imai and Tani, ISAAC 1995; Noble, CPC 1998):
+  it places the hyperedges one at a time and keeps, for A and A^c jointly,
+  where each path that enters the placed part leaves it, merging equal
+  states.  Its cost follows the number of states, not ``2**e``: one state
+  per step on the hyper-ladder, ``2**(n/2 - 1)`` at the widest step of
+  ``cycle_hypertree(n)``.
+
+The estimates are deterministic functions of the block, computed before any
+work: the kernel's grows with ``2**e`` times the labels counted, the
+frontier's with a bound on its states, each scaled by constants measured
+with ``tools/engine_costs.py``.  On the 20-rung hyper-ladder (one block,
+e = 20) the frontier engine took the ``perfbench`` workload ``poly_ladder``
+from 0.44 s to about 1.2 ms median op time on a 2-core Intel Xeon; small
+blocks (e <= 8) take 0.02-0.3 ms in either engine.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -210,6 +226,21 @@ def subset_iter(e_count: int, edge_cap: int = 62):
     return range(1 << e_count)
 
 
+def _counted_labels(h: Hypermap) -> tuple[bool, list[list[int]]]:
+    """Whether f(A) is counted twice over, and the labels of each hyperedge
+    on which both face-count engines count it.
+
+    On an orientable map that is one ``<tau, psi>`` orbit: ``iota`` swaps the
+    two orbits of a connected orientable hypermap and conjugates ``psi_A
+    then tau`` to an inverse, so each orbit carries one cycle of every face
+    pair.  Otherwise it is every label, and each face is counted twice.
+    """
+    halve = not h.counts().orientable
+    side = h.sides()
+    return halve, [[x for x in s if halve or side[x] == side[0]]
+                   for s in h.hyperedge_sets]
+
+
 # -- the formula engine: one contracted, paired face-count kernel -------------
 
 # Both chosen by measurement: a larger _K shifts work from the per-batch
@@ -251,17 +282,8 @@ class _ContractedKernel:
     """
 
     def __init__(self, h: Hypermap):
-        # On an orientable map f(A) is counted on one <tau, psi> orbit: iota
-        # swaps the two orbits of a connected orientable hypermap and
-        # conjugates psi_A then tau to an inverse, so each orbit carries one
-        # cycle of every face pair.
-        self.halve = not h.counts().orientable
-        side = h.sides()
-        edges = sorted(
-            ([x for x in s if self.halve or side[x] == side[0]]
-             for s in h.hyperedge_sets),
-            key=len,
-        )
+        self.halve, edges = _counted_labels(h)
+        edges.sort(key=len)
         self.k = k = max(0, min(_K, h.e - 1))
         labels = [x for s in edges for x in s]
         self.m = m = len(labels)
@@ -373,6 +395,194 @@ def _run_shared(fn, starts: range, workers: int) -> np.ndarray:
         return fn(it)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(fn, [it] * workers))
+
+
+# -- the frontier engine: a transfer matrix over the hyperedges -----------------
+
+_SLOT = 64  # bits per coefficient of a packed distribution; 2**e < 2**_SLOT
+
+
+class _Frontier:
+    """f(A) + f(A^c) for every A, one hyperedge at a time.
+
+    Each hyperedge is a box whose labels are ports: ``psi_A`` takes a label to
+    ``psi(x)`` inside the box when the hyperedge is in ``A`` and leaves it
+    alone when not, and ``tau`` wires the boxes together.  After some boxes
+    are placed, the cycles of ``psi_A then tau`` that stay inside them are
+    closed and only counted; every other one is cut into paths that enter
+    along a crossing wire and leave along another.  The state is where each
+    entering path leaves, for ``A`` and for ``A^c`` at once; equal states are
+    merged with their distributions of closed cycles added.  Swapping ``A``
+    with ``A^c`` swaps the two halves of a state and keeps every count, so a
+    state and its mirror are merged too.
+
+    Boxes are placed greedily: next comes the one that leaves the fewest
+    crossing wires, lowest index first on a tie.  The counting universe is
+    the kernel's: one ``<tau, psi>`` orbit of an orientable map, otherwise
+    every label with the sum halved.
+    """
+
+    def __init__(self, h: Hypermap):
+        self.h = h
+        self.halve, boxes = _counted_labels(h)
+        tau = h.tau.image
+        self.prev = prev = h.tau.inverse().image
+        box_of = h.hyperedge_of
+        # the change in crossing wires if box i came next: its wires to other
+        # boxes become crossing, those to placed boxes stop crossing
+        delta = [0] * len(boxes)
+        for i, box in enumerate(boxes):
+            for x in box:
+                if box_of(tau[x]) != i:
+                    delta[i] += 1
+                    delta[box_of(tau[x])] += 1
+        left = set(range(len(boxes)))
+        self.boxes: list[list[int]] = []
+        self.widths: list[int] = []  # paths entering after each box
+        self.states: list[int] = []  # states entering each box, in the last run
+        cross = 0
+        while left:
+            i = min(left, key=lambda j: (delta[j], j))
+            left.remove(i)
+            cross += delta[i]
+            self.boxes.append(boxes[i])
+            self.widths.append(cross // 2)  # as many paths leave as enter
+            for x in boxes[i]:
+                for y in (tau[x], prev[x]):
+                    if box_of(y) in left:
+                        delta[box_of(y)] -= 2
+
+    def work(self) -> tuple[int, int]:
+        """Ports summed over the steps, and a bound on the port visits of
+        all states, both known before any work.
+
+        A step walks every state over the box and the paths on both sides of
+        it.  After ``t`` boxes there are at most ``2**(t-1)`` states (mirrors
+        merged), and at most ``(w!)**2`` with ``w`` paths: one bijection for
+        A and one for A^c.
+        """
+        ports = visits = width = 0
+        states = 1
+        for t, (box, w) in enumerate(zip(self.boxes, self.widths), 1):
+            ports += len(box) + width + w
+            visits += states * (len(box) + width + w)
+            # from w = 20 on, (w!)**2 > 2**62 >= 2**(t-1): no need to go higher
+            states = min(1 << (t - 1), math.factorial(min(w, 20)) ** 2)
+            width = w
+        return ports, visits
+
+    def polynomial(self) -> GenusPolynomial:
+        h, prev = self.h, self.prev
+        tau, psi, ident = h.tau.image, h.psi.image, range(h.n)
+        placed = [False] * h.n
+        keys: list[int] = []  # outside labels whose wire enters, one per path
+        # closed-cycle sums packed in one int: slot s counts the subsets with
+        # f(A) + f(A^c) = s before halving
+        states: dict[tuple, int] = {((), ()): 1}
+        self.states = []
+        for box in self.boxes:
+            self.states.append(len(states))
+            inbox = set(box)
+            index = {y: k for k, y in enumerate(keys)}
+            feeds = {x: index[x] for x in box if x in index}  # wires into paths
+            for x in box:
+                placed[x] = True
+            # a path enters along an old wire, or along a new one into the box
+            starts = [(k, -1) for k, y in enumerate(keys) if y not in inbox]
+            keys = [y for y in keys if y not in inbox]
+            for x in box:
+                if not placed[prev[x]]:
+                    starts.append((-1, x))
+                    keys.append(prev[x])
+            memo: dict[tuple, tuple[tuple[int, ...], int]] = {}
+
+            def walk(ends: tuple[int, ...], g) -> tuple[tuple[int, ...], int]:
+                """Where each path now leaves, and the cycles the box closes."""
+                got = memo.get((ends, g is psi))
+                if got is not None:
+                    return got
+                seen = set()
+                out = []
+                for k, x in starts:
+                    if k >= 0:
+                        x = ends[k]
+                    while x in inbox:
+                        seen.add(x)
+                        y = g[x]
+                        k = feeds.get(y)
+                        x = tau[y] if k is None else ends[k]
+                    out.append(x)
+                closed = 0
+                for x in box:  # what no path reaches closes inside the box
+                    if x not in seen:
+                        closed += 1
+                        while x not in seen:
+                            seen.add(x)
+                            y = g[x]
+                            k = feeds.get(y)
+                            x = tau[y] if k is None else ends[k]
+                got = memo[ends, g is psi] = (tuple(out), closed)
+                return got
+
+            nxt: dict[tuple, int] = {}
+            for (ea, ec), dist in states.items():
+                for ga, gc in ((psi, ident), (ident, psi)):  # in A, or in A^c
+                    na, ca = walk(ea, ga)
+                    nc, cc = walk(ec, gc)
+                    key = (na, nc) if na <= nc else (nc, na)
+                    nxt[key] = nxt.get(key, 0) + (dist << _SLOT * (ca + cc))
+            states = nxt
+        (dist,) = states.values()
+        cb = h.counts()
+        const = 2 * cb.c - cb.e + cb.sum_n
+        out = {}
+        for s in range(dist.bit_length() // _SLOT + 1):
+            if count := dist >> _SLOT * s & (1 << _SLOT) - 1:
+                out[const - (s // 2 if self.halve else s)] = count
+        return GenusPolynomial(out)
+
+
+# -- choosing the engine of a block ---------------------------------------------
+
+# Seconds per unit of each engine's cost model, fitted by tools/engine_costs.py
+# (best-of-5 single-worker times of both engines on 110 blocks with e = 2..19,
+# mean of two fits on a 2-core Intel Xeon).  The frontier's constants are
+# fitted on the port visits its runs made and applied to the bound of
+# _Frontier.work, so its estimate errs high: on a block where the bound is
+# loose the kernel may be kept although the frontier would have been faster.
+_KERNEL_S = (1.95e-4, 8.25e-9)  # fixed; per subset and universe label
+_FRONTIER_S = (7.5e-6, 1.9e-6, 3.35e-7)  # fixed; per port; per port visit
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One engine for one block: its cost in seconds, estimated before any
+    work, and the enumeration itself (worker count -> polynomial)."""
+
+    engine: str
+    seconds: float
+    run: Callable[[int], GenusPolynomial]
+
+
+def _kernel_plan(h: Hypermap) -> _Plan:
+    universe = h.n if not h.counts().orientable else h.n // 2
+    fixed, per = _KERNEL_S
+    return _Plan("kernel", fixed + per * universe * 2.0**h.e,
+                 lambda workers: _enumerate_formula(h, workers))
+
+
+def _frontier_plan(h: Hypermap) -> _Plan:
+    fr = _Frontier(h)
+    ports, visits = fr.work()
+    fixed, per_port, per_visit = _FRONTIER_S
+    return _Plan("frontier", fixed + per_port * ports + per_visit * visits,
+                 lambda workers: fr.polynomial())
+
+
+def _plan(h: Hypermap) -> _Plan:
+    """The engine with the lower estimate for one join block, the kernel on a
+    tie.  A function of the block alone: nothing is timed."""
+    return min((_kernel_plan(h), _frontier_plan(h)), key=lambda p: p.seconds)
 
 
 # -- join factoring -------------------------------------------------------------
@@ -565,6 +775,7 @@ class EnumerationResult:
     subsets: int
     elapsed_ms: float
     blocks: tuple[int, ...]  # hyperedge counts of the pieces enumerated
+    block_engines: tuple[str, ...]  # the engine that enumerated each piece
 
     def as_dict(self) -> dict:
         rep = spectrum_report(self.polynomial)
@@ -576,6 +787,7 @@ class EnumerationResult:
             "engine": self.engine,
             "subsets": self.subsets,
             "blocks": list(self.blocks),
+            "block_engines": list(self.block_engines),
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.engines_agree is not None:
@@ -588,14 +800,15 @@ class EnumerationResult:
 
 
 def _enumerate(h: Hypermap, cfg: EngineConfig
-               ) -> tuple[GenusPolynomial, bool | None, tuple[int, ...]]:
+               ) -> tuple[GenusPolynomial, bool | None, tuple[int, ...], tuple[str, ...]]:
     """The polynomial by the configured engine, whether the engines agree
-    (``None`` unless both ran), and the hyperedge counts of the pieces
-    enumerated.  ``both`` raises when they disagree.
+    (``None`` unless both ran), and the hyperedge count and engine of each
+    piece enumerated.  ``both`` raises when they disagree.
 
-    The formula engine enumerates each join block (:func:`_join_blocks`) and
-    multiplies, so ``edge_cap`` bounds each block; ``direct`` and the direct
-    half of ``both`` enumerate, and so are capped by, the whole map.
+    The formula engine enumerates each join block (:func:`_join_blocks`) by
+    the engine :func:`_plan` picks for it and multiplies, so ``edge_cap``
+    bounds each block; ``direct`` and the direct half of ``both`` enumerate,
+    and so are capped by, the whole map.
     """
     if not h.is_connected():
         raise NotConnected("genus polynomials are defined for connected hypermaps")
@@ -605,16 +818,18 @@ def _enumerate(h: Hypermap, cfg: EngineConfig
     if largest > cfg.edge_cap:
         raise EdgeCapExceeded(f"{largest} hyperedges exceeds the configured cap of {cfg.edge_cap}")
     if cfg.engine == "direct":
-        return _enumerate_direct(h), None, blocks
+        return _enumerate_direct(h), None, blocks, ("direct",)
+    plans = [_plan(piece) for piece in pieces]
     poly = GenusPolynomial({0: 1})
-    for piece in pieces:
-        poly = poly.mul(_enumerate_formula(piece, cfg.workers()))
+    for plan in plans:
+        poly = poly.mul(plan.run(cfg.workers()))
+    engines = tuple(plan.engine for plan in plans)
     if cfg.engine == "formula":
-        return poly, None, blocks
+        return poly, None, blocks, engines
     direct = _enumerate_direct(h)
     if direct != poly:
         raise HypermapError(f"engine disagreement: direct {direct} vs formula {poly}")
-    return poly, True, blocks
+    return poly, True, blocks, engines
 
 
 def euler_genus_polynomial(h: Hypermap, cfg: EngineConfig | None = None) -> GenusPolynomial:
@@ -633,7 +848,7 @@ def enumerate_partial_duals(h: Hypermap, cfg: EngineConfig | None = None) -> Enu
     """Run a full enumeration and package polynomial, spectrum and metadata."""
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
-    poly, engines_agree, blocks = _enumerate(h, cfg)
+    poly, engines_agree, blocks, engines = _enumerate(h, cfg)
     gamma = poly.halve_exponents() if h.is_orientable() else None
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnumerationResult(
@@ -644,4 +859,5 @@ def enumerate_partial_duals(h: Hypermap, cfg: EngineConfig | None = None) -> Enu
         subsets=1 << h.e,
         elapsed_ms=elapsed,
         blocks=blocks,
+        block_engines=engines,
     )

@@ -56,6 +56,8 @@ class BipartiteMapSpec:
         for w in self.vertices:
             if w.side not in ("V", "E"):
                 raise HypermapError(f"vertex {w.name}: side must be V or E")
+            if not w.rotation:  # a vertex or hyperedge with no labels
+                raise MissingLabel(f"vertex {w.name}: empty rotation")
         for e in self.edges:
             if e.twist not in (1, -1) or e.u_side not in ("V", "E"):
                 raise HypermapError(f"edge {e.name}: bad twist or side")

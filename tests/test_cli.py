@@ -80,6 +80,31 @@ def test_poly_engine_both(capsys, tmp_path):
     assert data["blocks"] == [4]
 
 
+def test_poly_reports_the_engine_of_each_block(capsys, tmp_path):
+    ladder20 = gen(capsys, tmp_path, "ladder", "20")
+    code, out, _ = invoke(capsys, "poly", str(ladder20))
+    assert code == 0
+    data = json.loads(out)
+    assert data["blocks"] == [20] and data["block_engines"] == ["frontier"]
+    assert data["polynomial"]["0"] == 2 and data["subsets"] == 1 << 20
+
+    # a join of ladder(20) and cycle_hypertree(10): one block per engine
+    cyc = gen(capsys, tmp_path, "cycle_hypertree", "10")
+    chain = tmp_path / "chain.hmf"
+    code, _, _ = invoke(capsys, "join", str(ladder20), str(cyc),
+                        "--at", "x3@1", "--at2", "u@1", "-o", str(chain))
+    assert code == 0
+    code, out, _ = invoke(capsys, "poly", str(chain))
+    assert code == 0
+    data = json.loads(out)
+    assert sorted(zip(data["blocks"], data["block_engines"])) == \
+        [(10, "kernel"), (20, "frontier")]
+    code, out, _ = invoke(capsys, "poly", str(gen(capsys, tmp_path, "ladder", "4")),
+                          "--engine", "direct")
+    assert code == 0
+    assert json.loads(out)["block_engines"] == ["direct"]
+
+
 def test_spectrum(capsys, tmp_path):
     path = gen(capsys, tmp_path, "ladder", "2")
     code, out, _ = invoke(capsys, "spectrum", str(path))

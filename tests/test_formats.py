@@ -90,6 +90,21 @@ def test_bmf_errors():
         )
 
 
+@pytest.mark.parametrize("side", ["V", "E"])
+def test_bmf_rejects_an_empty_rotation(side):
+    # a node with no edges would be a class without labels
+    text = f"bmf 1\nbvertex V v1 (b0)\nbvertex E w1 (b0)\nbvertex {side} x ()\nedge b0 + V\n"
+    with pytest.raises(MissingLabel, match="empty rotation"):
+        parse_bmf(text)
+    spec = BipartiteMapSpec(
+        (BipartiteVertex("v1", "V", ("b0",)), BipartiteVertex("w1", "E", ("b0",)),
+         BipartiteVertex("x", side, ())),
+        (BipartiteEdge("b0", 1),),
+    )
+    with pytest.raises(MissingLabel):
+        walsh_build(spec)
+
+
 @pytest.mark.parametrize("build", [
     lambda: ladder(3),
     lambda: cycle_hypertree(4),

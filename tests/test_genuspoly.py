@@ -138,7 +138,7 @@ def test_paired_batches_match_direct(monkeypatch, fig7, torus):
     monkeypatch.setattr(gp, "_STEP_LABELS", 1)
     for h in (fig7, torus, ladder(5), cycle_hypertree(4)):
         direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
-        assert euler_genus_polynomial(h) == direct
+        assert gp._enumerate_formula(h, 1) == direct
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,7 +151,7 @@ def test_formula_matches_direct_at_every_k(seed):
     for k in range(h.e):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "_K", k)
-            assert euler_genus_polynomial(h) == direct
+            assert gp._enumerate_formula(h, 1) == direct
 
 
 def test_worker_count_is_invisible():
@@ -373,3 +373,117 @@ def test_edge_cap_bounds_each_join_block():
             enumerate_partial_duals(h, EngineConfig(engine=engine, edge_cap=16))
     with pytest.raises(EdgeCapExceeded):
         enumerate_partial_duals(h, EngineConfig(edge_cap=11))
+
+
+# -- the frontier engine and the engine of each block ------------------------------
+
+
+def each_engine(h: Hypermap) -> tuple[GenusPolynomial, GenusPolynomial]:
+    """The polynomial of one block by the kernel and by the frontier engine."""
+    return gp._enumerate_formula(h, 1), gp._Frontier(h).polynomial()
+
+
+def two_pick_bar(data=None) -> Hypermap:
+    """ladder(6) and cycle_hypertree(5) joined by a bar with two picks a
+    side; ``data`` draws the picked vertices and corners, else the first."""
+    def picks(h):
+        vertices = [0, 1] if data is None else data.draw(
+            st.lists(st.integers(0, h.v - 1), min_size=2, max_size=2, unique=True))
+        corners = [sorted(h.vertex_sets[i]) for i in vertices]
+        return AmalgamationPicks(tuple(
+            CornerRef(i, c[0] if data is None else data.draw(st.sampled_from(c)))
+            for i, c in zip(vertices, corners)))
+    l6, c5 = ladder(6), cycle_hypertree(5)
+    return bar_amalgamation(l6, picks(l6), c5, picks(c5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_frontier_matches_direct_and_kernel_on_twisted_maps(seed):
+    _, h = walsh_build(random_bipartite_spec(seed, twisted=True))
+    direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    assert each_engine(h) == (direct, direct)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=st.lists(pieces, min_size=2, max_size=3),
+       labels=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                       min_size=2, max_size=2))
+def test_frontier_matches_kernel_on_every_join_block(kinds, labels):
+    h = join_chain([_piece(kind, seed) for kind, seed in kinds], labels)
+    assume(h.e <= 10)
+    for block in gp._join_blocks(h):
+        kernel, frontier = each_engine(block)
+        assert frontier == kernel
+    # the frontier engine needs no split: the whole chain is one block to it
+    assert gp._Frontier(h).polynomial() == \
+        euler_genus_polynomial(h, EngineConfig(engine="direct"))
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_frontier_matches_kernel_on_two_pick_bars(data):
+    h = two_pick_bar(data)
+    assert h.e == 12
+    for block in gp._join_blocks(h):
+        kernel, frontier = each_engine(block)
+        assert frontier == kernel
+    assert gp._Frontier(h).polynomial() == gp._enumerate_formula(h, 1)
+
+
+def test_frontier_matches_direct_on_a_two_pick_bar_and_the_examples(plane, torus, fig7):
+    empty = Hypermap.from_flags(Permutation([]), Permutation([]), Permutation([]))
+    for h in (two_pick_bar(), plane, torus, fig7, twisted_digon(), star(4)):
+        direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+        assert gp._Frontier(h).polynomial() == direct
+    assert gp._Frontier(empty).polynomial() == GenusPolynomial({0: 1})
+
+
+def test_ladder_closed_form_to_the_edge_cap():
+    # 2**62 kernel subsets at n = 62; the frontier keeps one state per step
+    cfg = EngineConfig(edge_cap=62)
+    for n in range(1, 63):
+        res = enumerate_partial_duals(ladder(n), cfg)
+        assert res.polynomial == closed_form("ladder", n), n
+        if n >= 8:
+            assert res.block_engines == ("frontier",)
+    fr = gp._Frontier(ladder(62))
+    fr.polynomial()
+    assert fr.widths[:-1] == [2] * 61 and fr.states == [1] * 62
+
+
+def test_cycle_hypertree_closed_form_past_the_kernel():
+    for n in range(3, 21):
+        res = enumerate_partial_duals(cycle_hypertree(n))
+        assert res.polynomial == closed_form("cycle_hypertree", n), n
+    assert res.block_engines == ("frontier",)
+
+
+def test_engine_choice_is_a_function_of_the_block():
+    # ladder: two paths cross the frontier at every step, whatever the labels
+    rng = random.Random(0)
+    base = ladder(20)
+    new_of_old = list(range(base.n))
+    rng.shuffle(new_of_old)
+    assert gp._plan(base.relabel(new_of_old)).engine == "frontier"
+    # the one-cycle hypertree's frontier grows to n/2 paths: the estimate
+    # bounds its states by 2**(t-1) and keeps the kernel at this size
+    assert gp._plan(cycle_hypertree(10)).engine == "kernel"
+    for h in (base, cycle_hypertree(10), two_pick_bar(), twisted_digon()):
+        first = gp._plan(h)
+        assert first.seconds > 0
+        assert [(p.engine, p.seconds) for p in (gp._plan(h), gp._plan(h))] == \
+            [(first.engine, first.seconds)] * 2
+
+
+def test_block_engines_are_reported():
+    h = join_chain([ladder(20), cycle_hypertree(10), twisted_digon()], [(0, 5), (3, 0)])
+    res = enumerate_partial_duals(h, EngineConfig(edge_cap=20))
+    assert sorted(zip(res.blocks, res.block_engines)) == \
+        [(1, gp._plan(twisted_digon()).engine), (10, "kernel"), (20, "frontier")]
+    assert res.as_dict()["block_engines"] == list(res.block_engines)
+    want = closed_form("ladder", 20).mul(closed_form("cycle_hypertree", 10)).mul(
+        euler_genus_polynomial(twisted_digon(), EngineConfig(engine="direct")))
+    assert res.polynomial == want
+    direct = enumerate_partial_duals(ladder(3), EngineConfig(engine="direct"))
+    assert direct.block_engines == ("direct",)

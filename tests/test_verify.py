@@ -20,8 +20,11 @@ def _entry(report: dict, name: str) -> dict:
 def test_engine_disagreement_is_reported(monkeypatch, fig7):
     assert _entry(verify_hypermap(fig7), AGREE)["ok"]
 
+    # break both engines the formula engine picks from per join block
     monkeypatch.setattr(gp, "_enumerate_formula",
                         lambda h, workers: GenusPolynomial({0: 2**h.e}))
+    monkeypatch.setattr(gp._Frontier, "polynomial",
+                        lambda self: GenusPolynomial({0: 2**self.h.e}))
     report = verify_hypermap(fig7)
     entry = _entry(report, AGREE)
     assert not entry["ok"] and not report["ok"]
