@@ -48,10 +48,10 @@ class Permutation:
 
         Skips the bijection check of the public constructor.  Only code
         whose result is a bijection whenever its operands are calls it: the
-        products and constructors of this class, the restricted and
-        reversed ``psi`` built by :mod:`hypermaps.duality`, and flag arrays
-        handed straight to ``Hypermap.from_flags``, whose mirror-axiom check
-        fails on any image that is not a bijection.
+        products and constructors of this class, the restricted ``psi`` and
+        the partial-dual flags built by :mod:`hypermaps.duality`, and flag
+        arrays handed straight to ``Hypermap.from_flags``, whose mirror-axiom
+        check fails on any image that is not a bijection.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "_img", tuple(image))

@@ -21,14 +21,14 @@ from .constructions import (
 from .duality import (
     PropertyReport,
     _add_compositions,
-    check_properties,
+    _add_single,
     chi_partial_dual_formula,
     eps_partial_dual_formula,
     partial_dual,
     spanning_counts,
     spanning_face_count_restricted,
 )
-from .errors import HypermapError
+from .errors import EdgeCapExceeded, HypermapError
 from .genuspoly import (
     EngineConfig,
     euler_genus_polynomial,
@@ -76,21 +76,34 @@ def verify_hypermap(h: Hypermap, subset_cap: int = 12) -> dict:
     """Exhaustive identity checks for one connected hypermap.
 
     Every failing entry carries its own witness: the first subset (or pair of
-    subsets) at which its identity fails.
+    subsets) at which its identity fails.  A map with more hyperedges than
+    the direct engine's cap is refused before any subset is checked.
     """
     if h.e > subset_cap:
         raise HypermapError(
             f"{h.e} hyperedges exceeds the check cap of {subset_cap}"
         )
+    # the engine entry runs the direct engine on the whole map: refuse a map
+    # it would refuse before the 2^e subsets of the pass below
+    direct_cap = EngineConfig().edge_cap
+    if h.e > direct_cap:
+        raise EdgeCapExceeded(
+            f"{h.e} hyperedges exceeds the direct engine's cap of {direct_cap}"
+        )
     masks = subset_iter(h.e)
     # the pair entries read every partial dual; the per-subset pass streams
     duals = [partial_dual(h, mask) for mask in masks] if h.e <= _PAIR_CAP else None
+    full = (1 << h.e) - 1
     two_c = 2 * h.component_count()
 
     witness: dict[str, dict | None] = dict.fromkeys((_CHI, _EPS, _FACES, _SINGLE))
     for mask in masks:
-        chi = (duals[mask] if duals else partial_dual(h, mask)).counts().chi
-        props = check_properties(h, mask)
+        if duals:
+            ha, hac = duals[mask], duals[full ^ mask]
+        else:
+            ha, hac = partial_dual(h, mask), partial_dual(h, full ^ mask)
+        chi = ha.counts().chi
+        props = _add_single(PropertyReport(), h, mask, ha, hac)
         for name, ok in (
             (_CHI, chi_partial_dual_formula(h, mask) == chi),
             (_EPS, eps_partial_dual_formula(h, mask) == two_c - chi),

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import hypermaps.duality as duality
+import hypermaps.verify as verify
 from hypermaps.cli import run
 from hypermaps.generators import fig7_example
 from hypermaps.hmf import read_hmf, write_hmf
@@ -225,6 +227,20 @@ def test_check_corrupted_file(capsys, tmp_path):
     bad.write_text("hmf 1\nvertex v (1 2) (1 3)\nhyperedge e (1 2) (1 3)\n")
     code, _, err = invoke(capsys, "check", str(bad))
     assert code == 1 and json.loads(err)["error"] == "DuplicateLabel"
+
+
+def test_check_refuses_a_map_past_the_direct_cap_before_any_subset(
+        capsys, tmp_path, monkeypatch):
+    path = gen(capsys, tmp_path, "ladder", "31")
+
+    def started(*args):
+        raise AssertionError("the check started its subset pass")
+
+    monkeypatch.setattr(verify, "partial_dual", started)
+    monkeypatch.setattr(duality, "partial_dual", started)
+    code, out, err = invoke(capsys, "check", str(path), "--subset-cap", "40")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "EdgeCapExceeded"
 
 
 def test_stdin_stdout_streams(tmp_path):

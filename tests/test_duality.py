@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypermaps.duality import (
     EdgeSubset,
+    _dual_flags,
+    _flags,
     check_properties,
     chi_partial_dual_formula,
     dual,
@@ -166,3 +168,21 @@ def test_dual_permutations_are_validated_bijections(h, data):
     mask = data.draw(st.integers(0, (1 << h.e) - 1))
     for p in (psi_restricted(h, mask), partial_dual(h, mask).psi):
         assert Permutation(p.image) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(h=spec_maps, data=st.data())
+def test_dual_flags_are_the_images_of_the_validated_dual(h, data):
+    mask = data.draw(st.integers(0, (1 << h.e) - 1))
+    assert _dual_flags(h, mask) == _flags(partial_dual(h, mask))
+
+
+@settings(max_examples=25, deadline=None)
+@given(h=spec_maps)
+def test_second_application_on_flags_equals_the_validated_one(h):
+    # every pair up to e = 4; the first 16 masks on larger maps
+    masks = range(min(1 << h.e, 16))
+    for a in masks:
+        ha = partial_dual(h, a)
+        for b in masks:
+            assert _dual_flags(ha, b) == _flags(partial_dual(ha, b))

@@ -1,7 +1,9 @@
 """The identity-verification suite reports failures instead of raising."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypermaps.duality as duality
 import hypermaps.genuspoly as gp
 import hypermaps.verify as verify
 from hypermaps.genuspoly import GenusPolynomial
@@ -11,6 +13,7 @@ from hypermaps.walsh import walsh_build
 from conftest import random_bipartite_spec
 
 AGREE = "engines agree and coefficients sum to 2^e"
+PAIRS = "composition by symmetric difference (all pairs)"
 
 
 def _entry(report: dict, name: str) -> dict:
@@ -77,3 +80,36 @@ def test_pair_entry_reads_the_table_of_duals(monkeypatch, fig7):
         "(H^A)^B = (H^B)^A", "(H^A)^B = H^(A xor B)"]
     assert [c["ok"] for c in entry["detail"]["identities"]] == [False, False]
     assert entry["detail"]["identities"][0]["witness"] == {"A": (), "B": names[:2]}
+
+
+def _psi_kept(flags, g, mask):
+    tau, _, iota = flags(g, mask)
+    return tau, g.psi.image, iota
+
+
+def _tau_not_a_bijection(flags, g, mask):
+    tau, psi, iota = flags(g, mask)
+    return (0,) * len(tau), psi, iota
+
+
+@pytest.mark.parametrize("mutant, failing_pair", [
+    pytest.param(_psi_kept, (0b1, 0b1), id="psi-not-reversed-on-A"),
+    pytest.param(_tau_not_a_bijection, (0b0, 0b1), id="not-a-bijection"),
+])
+def test_a_wrong_second_application_fails_the_pair_entry(monkeypatch, fig7,
+                                                         mutant, failing_pair):
+    real = duality._dual_flags
+    # the table of duals is built from fig7 itself, so the mutant acts only
+    # where a dual is applied to a map that is already a dual
+    monkeypatch.setattr(duality, "_dual_flags",
+                        lambda g, mask: real(g, mask) if g is fig7
+                        else mutant(real, g, mask))
+    report = verify_hypermap(fig7)
+    entry = _entry(report, PAIRS)
+    assert not entry["ok"] and not report["ok"]
+    names = fig7.hyperedge_names
+    a, b = failing_pair
+    witness = {"A": tuple(n for k, n in enumerate(names) if a >> k & 1),
+               "B": tuple(n for k, n in enumerate(names) if b >> k & 1)}
+    failing = [c for c in entry["detail"]["identities"] if not c["ok"]]
+    assert failing and all(c["witness"] == witness for c in failing)
