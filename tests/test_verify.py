@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import hypermaps.duality as duality
 import hypermaps.genuspoly as gp
 import hypermaps.verify as verify
+from hypermaps.duality import EdgeSubset
 from hypermaps.genuspoly import GenusPolynomial
 from hypermaps.verify import verify_hypermap
 from hypermaps.walsh import walsh_build
@@ -107,9 +108,8 @@ def test_a_wrong_second_application_fails_the_pair_entry(monkeypatch, fig7,
     report = verify_hypermap(fig7)
     entry = _entry(report, PAIRS)
     assert not entry["ok"] and not report["ok"]
-    names = fig7.hyperedge_names
     a, b = failing_pair
-    witness = {"A": tuple(n for k, n in enumerate(names) if a >> k & 1),
-               "B": tuple(n for k, n in enumerate(names) if b >> k & 1)}
+    witness = {"A": EdgeSubset(a, fig7.e).names(fig7),
+               "B": EdgeSubset(b, fig7.e).names(fig7)}
     failing = [c for c in entry["detail"]["identities"] if not c["ok"]]
     assert failing and all(c["witness"] == witness for c in failing)
