@@ -217,23 +217,26 @@ def spanning_face_count_restricted(h: Hypermap, a) -> int:
     return own // 2 + isolated
 
 
+def _dual_formulas(h: Hypermap, mask: int, span) -> tuple[int, int]:
+    """Euler characteristic and Euler genus of the partial dual on ``mask``
+    from the two spanning subs; ``span(m)`` gives the counts of the spanning
+    sub on the bitmask ``m``."""
+    if not h.is_connected():
+        raise NotConnected("the partial-dual formulas need a connected hypermap")
+    sa, sc = span(mask), span(mask ^ ((1 << h.e) - 1))
+    chi = sa.chi + sc.chi - 2 * h.v
+    eps = sa.eps + sc.eps + 2 * (h.component_count() - sa.c - sc.c) + 2 * h.v
+    return chi, eps
+
+
 def chi_partial_dual_formula(h: Hypermap, a) -> int:
     """Euler characteristic of the partial dual from the two spanning subs."""
-    if not h.is_connected():
-        raise NotConnected("the partial-dual characteristic formula needs a connected hypermap")
-    sub = _as_subset(h, a)
-    return spanning_counts(h, sub).chi + spanning_counts(h, sub.complement()).chi - 2 * h.v
+    return _dual_formulas(h, _as_subset(h, a).mask, lambda m: spanning_counts(h, m))[0]
 
 
 def eps_partial_dual_formula(h: Hypermap, a) -> int:
     """Euler genus of the partial dual from the two spanning subs."""
-    if not h.is_connected():
-        raise NotConnected("the partial-dual genus formula needs a connected hypermap")
-    sub = _as_subset(h, a)
-    sa = spanning_counts(h, sub)
-    sc = spanning_counts(h, sub.complement())
-    c_h = h.component_count()
-    return sa.eps + sc.eps + 2 * (c_h - sa.c - sc.c) + 2 * h.v
+    return _dual_formulas(h, _as_subset(h, a).mask, lambda m: spanning_counts(h, m))[1]
 
 
 def gamma_partial_dual_formula(h: Hypermap, a) -> int:
@@ -286,7 +289,7 @@ def check_properties(h: Hypermap, a, b=None) -> PropertyReport:
     sub_a = _as_subset(h, a)
     ha = partial_dual(h, sub_a)
     report = _add_single(PropertyReport(), h, sub_a, ha,
-                         partial_dual(h, sub_a.complement()))
+                         partial_dual(h, sub_a.complement()), spanning_counts(h, sub_a))
     if b is not None:
         sub_b = _as_subset(h, b)
         _add_compositions(report, h, sub_a, sub_b, ha, partial_dual(h, sub_b),
@@ -303,10 +306,10 @@ def _add_all(report: PropertyReport, checks, witness) -> PropertyReport:
     return report
 
 
-def _add_single(report: PropertyReport, h: Hypermap, a,
-                ha: Hypermap, hac: Hypermap) -> PropertyReport:
+def _add_single(report: PropertyReport, h: Hypermap, a, ha: Hypermap,
+                hac: Hypermap, sa: SpanningSubCounts) -> PropertyReport:
     """Add the single-subset identities to ``report``, given the validated
-    H^A and H^(A^c)."""
+    H^A and H^(A^c) and the counts of the spanning sub on A."""
     sub_a = _as_subset(h, a)
     cb_h, cb_a = h.counts(), ha.counts()
     full = (1 << h.e) - 1
@@ -314,7 +317,7 @@ def _add_single(report: PropertyReport, h: Hypermap, a,
         ("c(H^A) = c(H)", cb_a.c == cb_h.c),
         ("sum_n(H^A) = sum_n(H)", cb_a.sum_n == cb_h.sum_n),
         ("e(H^A) = e(H)", cb_a.e == cb_h.e),
-        ("v(H^A) = f(A)", cb_a.v == spanning_counts(h, sub_a).f),
+        ("v(H^A) = f(A)", cb_a.v == sa.f),
         ("orientability preserved", cb_a.orientable == cb_h.orientable),
         ("(H^A)^A = H", _dual_flags(ha, sub_a.mask) == _flags(h)),
         ("(H^A)^* = H^(A^c)", _dual_flags(ha, full) == _flags(hac)),

@@ -16,8 +16,10 @@ vertex-hyperedge incidence graph at which a biconnected block holds one
 contiguous arc of the vertex's cycle, which is what a join splices in.
 Blocks that meet at a hyperedge, or whose labels cross in a vertex's cycle,
 stay in one piece.  The piece polynomials are multiplied, so ``2**e``
-subsets become ``sum 2**e_i``; a map with no split costs one extra linear
-scan.  ``direct`` never factors.
+subsets become ``sum 2**e_i``.  A map with no separating vertex, such as
+the hyper-ladder, costs one depth-first search and is returned whole;
+otherwise only the vertex cycles at separating vertices are scanned.
+``direct`` never factors.
 
 Each piece goes to one of two counters of f(A) + f(A^c), whichever has the
 lower cost estimate (:func:`_plan`).  Both count on one ``<tau, psi>`` orbit
@@ -427,15 +429,15 @@ class _Frontier:
         self.halve, boxes = _counted_labels(h)
         tau = h.tau.image
         self.prev = prev = h.tau.inverse().image
-        box_of = h.hyperedge_of
+        box_of = h._hyperedge_of
         # the change in crossing wires if box i came next: its wires to other
         # boxes become crossing, those to placed boxes stop crossing
         delta = [0] * len(boxes)
         for i, box in enumerate(boxes):
             for x in box:
-                if box_of(tau[x]) != i:
+                if box_of[tau[x]] != i:
                     delta[i] += 1
-                    delta[box_of(tau[x])] += 1
+                    delta[box_of[tau[x]]] += 1
         left = set(range(len(boxes)))
         self.boxes: list[list[int]] = []
         self.widths: list[int] = []  # paths entering after each box
@@ -449,8 +451,8 @@ class _Frontier:
             self.widths.append(cross // 2)  # as many paths leave as enter
             for x in boxes[i]:
                 for y in (tau[x], prev[x]):
-                    if box_of(y) in left:
-                        delta[box_of(y)] -= 2
+                    if box_of[y] in left:
+                        delta[box_of[y]] -= 2
 
     def work(self) -> tuple[int, int]:
         """Ports summed over the steps, and a bound on the port visits of
@@ -588,31 +590,35 @@ def _plan(h: Hypermap) -> _Plan:
 # -- join factoring -------------------------------------------------------------
 
 
-def _incidence_blocks(h: Hypermap) -> tuple[list[int], int]:
-    """The biconnected block of every label, and the number of blocks.
+def _incidence_blocks(h: Hypermap) -> tuple[list[int], int, list[int]]:
+    """The biconnected block of every label, the number of blocks, and the
+    separating vertices.
 
     The graph is the vertex-hyperedge incidence multigraph of a connected
-    hypermap with one edge per label.  Tarjan's edge-stack algorithm runs on
-    an explicit stack of (node, tree-edge label, unvisited incident labels),
-    so deep maps cannot overflow the recursion limit.
+    hypermap with one edge per label: node ``i < h.v`` is vertex ``i``, node
+    ``h.v + j`` is hyperedge ``j``.  Tarjan's edge-stack algorithm runs on an
+    explicit stack of (node, tree-edge label, unvisited incident labels), so
+    deep maps cannot overflow the recursion limit.  A vertex separates when
+    a block closes at it: one block for any vertex but the DFS root, vertex
+    0, and two for the root.
     """
-    ends = [(h.vertex_of(x), h.v + h.hyperedge_of(x)) for x in range(h.n)]
-    incident: list[list[int]] = [[] for _ in range(h.v + h.e)]
-    for x, (a, b) in enumerate(ends):
-        incident[a].append(x)
-        incident[b].append(x)
+    nv = h.v
+    vertex_node = h._vertex_of
+    edge_node = [nv + j for j in h._hyperedge_of]
+    incident = h.vertex_sets + h.hyperedge_sets  # the labels at each node
     disc = [-1] * len(incident)
     low = [0] * len(incident)
     block = [-1] * h.n
+    closed = [0] * nv  # blocks closed at each vertex
     count = 0
     edges: list[int] = []
     disc[0] = clock = 0
     stack = [(0, -1, iter(incident[0]))]
     while stack:
         u, up, rest = stack[-1]
+        ends = edge_node if u < nv else vertex_node
         for x in rest:
-            a, b = ends[x]
-            w = b if a == u else a
+            w = ends[x]
             if disc[w] == -1:
                 edges.append(x)
                 clock += 1
@@ -621,12 +627,14 @@ def _incidence_blocks(h: Hypermap) -> tuple[list[int], int]:
                 break
             if x != up and disc[w] < disc[u]:  # a back edge, seen from below
                 edges.append(x)
-                low[u] = min(low[u], disc[w])
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
         else:
             stack.pop()
             if stack:
                 p = stack[-1][0]
-                low[p] = min(low[p], low[u])
+                if low[u] < low[p]:
+                    low[p] = low[u]
                 if low[u] >= disc[p]:  # p separates u's subtree: close a block
                     while True:
                         y = edges.pop()
@@ -634,7 +642,9 @@ def _incidence_blocks(h: Hypermap) -> tuple[list[int], int]:
                         if y == up:
                             break
                     count += 1
-    return block, count
+                    if p < nv:
+                        closed[p] += 1
+    return block, count, [i for i, k in enumerate(closed) if k > (i == 0)]
 
 
 def _interleaved(colours: list[int]) -> list[int]:
@@ -687,12 +697,14 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
     joins of the pieces and its polynomial is their product.  Each piece is
     ``tau`` restricted to its labels with ``psi`` and ``iota`` (both keep
     every hyperedge whole), renumbered densely and validated by
-    :meth:`Hypermap.from_flags`.  Returns ``[h]`` when nothing splits.
+    :meth:`Hypermap.from_flags`.  Returns ``[h]`` when nothing splits,
+    without a union when no vertex separates: the blocks then meet only at
+    hyperedges, so the hyperedge unions would merge them all.
     """
     if h.n == 0:
         return [h]
-    block, count = _incidence_blocks(h)
-    if count == 1:
+    block, count, cuts = _incidence_blocks(h)
+    if not cuts:
         return [h]
     parent = list(range(count))
 
@@ -708,7 +720,7 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
 
     for s in h.hyperedge_sets:
         union({block[x] for x in s})
-    for i in range(h.v):
+    for i in cuts:  # any other vertex lies in one block
         cycle = [block[x] for x in h.vertex_cycle(i)]
         if not (left := set(_interleaved(cycle))):
             continue
@@ -849,7 +861,7 @@ def enumerate_partial_duals(h: Hypermap, cfg: EngineConfig | None = None) -> Enu
     cfg = cfg or EngineConfig()
     t0 = time.perf_counter()
     poly, engines_agree, blocks, engines = _enumerate(h, cfg)
-    gamma = poly.halve_exponents() if h.is_orientable() else None
+    gamma = poly.halve_exponents() if h.counts().orientable else None
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnumerationResult(
         polynomial=poly,

@@ -22,8 +22,7 @@ from .duality import (
     PropertyReport,
     _add_compositions,
     _add_single,
-    chi_partial_dual_formula,
-    eps_partial_dual_formula,
+    _dual_formulas,
     partial_dual,
     spanning_counts,
     spanning_face_count_restricted,
@@ -93,6 +92,9 @@ def verify_hypermap(h: Hypermap, subset_cap: int = 12) -> dict:
     masks = subset_iter(h.e)
     # the pair entries read every partial dual; the per-subset pass streams
     duals = [partial_dual(h, mask) for mask in masks] if h.e <= _PAIR_CAP else None
+    # each subset's spanning sub is read by the formula entries of A and of
+    # A^c, the face entry and the single-subset identities
+    spans = [spanning_counts(h, mask) for mask in masks]
     full = (1 << h.e) - 1
     two_c = 2 * h.component_count()
 
@@ -103,11 +105,12 @@ def verify_hypermap(h: Hypermap, subset_cap: int = 12) -> dict:
         else:
             ha, hac = partial_dual(h, mask), partial_dual(h, full ^ mask)
         chi = ha.counts().chi
-        props = _add_single(PropertyReport(), h, mask, ha, hac)
+        props = _add_single(PropertyReport(), h, mask, ha, hac, spans[mask])
+        chi_formula, eps_formula = _dual_formulas(h, mask, spans.__getitem__)
         for name, ok in (
-            (_CHI, chi_partial_dual_formula(h, mask) == chi),
-            (_EPS, eps_partial_dual_formula(h, mask) == two_c - chi),
-            (_FACES, spanning_face_count_restricted(h, mask) == spanning_counts(h, mask).f),
+            (_CHI, chi_formula == chi),
+            (_EPS, eps_formula == two_c - chi),
+            (_FACES, spanning_face_count_restricted(h, mask) == spans[mask].f),
             (_SINGLE, props.ok),
         ):
             if not ok and witness[name] is None:

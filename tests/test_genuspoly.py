@@ -275,21 +275,40 @@ def crossing_vertex(twists=(1, 1, 1, 1)) -> Hypermap:
     return walsh_build(spec)[1]
 
 
+def rooted_at(h: Hypermap, k: int) -> Hypermap:
+    """``h`` with its vertices rotated so that vertex ``k`` comes first; the
+    search for separating vertices starts at vertex 0."""
+    vs = h.vertex_sets
+    return Hypermap.from_flags(h.tau, h.psi, h.iota, hyperedge_sets=h.hyperedge_sets,
+                               vertex_sets=vs[k:] + vs[:k])
+
+
 pieces = st.tuples(st.sampled_from(["spec", "spec", *FAMILY_PIECES]),
                    st.integers(0, 10**6))
 
 
-@settings(max_examples=40, deadline=None)
-@given(kinds=st.lists(pieces, min_size=2, max_size=3),
+@settings(max_examples=50, deadline=None)
+@given(kinds=st.lists(pieces, min_size=1, max_size=3),
        labels=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
-                       min_size=2, max_size=2))
-def test_join_chains_formula_matches_direct(kinds, labels):
+                       min_size=2, max_size=2),
+       shuffle=st.integers(0, 10**6))
+def test_join_chains_formula_matches_direct(kinds, labels, shuffle):
     parts = [_piece(kind, seed) for kind, seed in kinds]
     assert all(p.is_connected() for p in parts)
     assume(sum(p.e for p in parts) <= 12)
-    h = join_chain(parts, labels)
+    # relabelled at random, and any vertex may be the root of the search
+    rng = random.Random(shuffle)
+    new_of_old = list(range(sum(p.n for p in parts)))
+    rng.shuffle(new_of_old)
+    h = join_chain(parts, labels).relabel(new_of_old)
+    h = rooted_at(h, rng.randrange(h.v))
+    direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    product = GenusPolynomial({0: 1})
+    for piece in gp._join_blocks(h):
+        product = product.mul(euler_genus_polynomial(piece, EngineConfig(engine="direct")))
+    assert product == direct
     res = enumerate_partial_duals(h)
-    assert res.polynomial == euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    assert res.polynomial == direct
     assert sum(res.blocks) == h.e and len(res.blocks) >= len(parts)
 
 
@@ -306,6 +325,26 @@ def test_join_blocks_keep_unsplittable_maps_whole(fig7):
     cases += [crossing_vertex(t) for t in ((1, 1, 1, 1), (1, -1, 1, 1), (-1, 1, 1, -1))]
     for h in cases:
         assert gp._join_blocks(h) == [h]
+
+
+def test_maps_without_a_separating_vertex_skip_the_vertex_pass(monkeypatch):
+    def vertex_pass(colours):
+        raise AssertionError("a vertex cycle was scanned")
+    monkeypatch.setattr(gp, "_interleaved", vertex_pass)
+    for h in [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]:
+        assert gp._incidence_blocks(h)[2] == []
+        assert gp._join_blocks(h) == [h]
+
+
+def test_a_join_splits_at_any_vertex_the_search_meets():
+    # the glued vertex comes last; rotated first, it is the root of the search
+    h = join_chain([ladder(3), cycle_hypertree(4)], [(1, 2)])
+    glued = h.v - 1
+    for g, cut in ((h, glued), (rooted_at(h, glued), 0)):
+        assert gp._incidence_blocks(g)[2] == [cut]
+        assert sorted(p.e for p in gp._join_blocks(g)) == [3, 4]
+        want = closed_form("ladder", 3).mul(closed_form("cycle_hypertree", 4))
+        assert euler_genus_polynomial(g) == want
 
 
 def test_crossing_vertex_is_not_a_join():

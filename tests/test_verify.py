@@ -21,6 +21,11 @@ def _entry(report: dict, name: str) -> dict:
     return next(c for c in report["checks"] if c["check"] == name)
 
 
+def shifted(chi_eps: tuple[int, int], d_chi: int, d_eps: int) -> tuple[int, int]:
+    """Characteristic and genus from ``_dual_formulas``, shifted."""
+    return chi_eps[0] + d_chi, chi_eps[1] + d_eps
+
+
 def test_engine_disagreement_is_reported(monkeypatch, fig7):
     assert _entry(verify_hypermap(fig7), AGREE)["ok"]
 
@@ -36,18 +41,16 @@ def test_engine_disagreement_is_reported(monkeypatch, fig7):
     assert entry["detail"]["direct_polynomial"] == {"2": 2, "4": 2, "6": 12}
     assert entry["detail"]["mask"] is None  # every single subset still agrees
 
-    per_subset = verify.eps_partial_dual_formula
-    monkeypatch.setattr(verify, "eps_partial_dual_formula",
-                        lambda h, mask: per_subset(h, mask) + 2 * (mask in (5, 9)))
+    formulas = verify._dual_formulas
+    monkeypatch.setattr(verify, "_dual_formulas", lambda h, mask, span: shifted(
+        formulas(h, mask, span), 0, 2 * (mask in (5, 9))))
     assert _entry(verify_hypermap(fig7), AGREE)["detail"]["mask"] == 5
 
 
 def test_each_failing_entry_names_its_own_mask(monkeypatch, fig7):
-    chi, eps = verify.chi_partial_dual_formula, verify.eps_partial_dual_formula
-    monkeypatch.setattr(verify, "chi_partial_dual_formula",
-                        lambda h, mask: chi(h, mask) + (mask == 3))
-    monkeypatch.setattr(verify, "eps_partial_dual_formula",
-                        lambda h, mask: eps(h, mask) + 2 * (mask == 6))
+    formulas = verify._dual_formulas
+    monkeypatch.setattr(verify, "_dual_formulas", lambda h, mask, span: shifted(
+        formulas(h, mask, span), mask == 3, 2 * (mask == 6)))
     report = verify_hypermap(fig7)
     assert not report["ok"]
     chi_entry = _entry(report, "characteristic formula equals the constructed dual")
@@ -58,6 +61,15 @@ def test_each_failing_entry_names_its_own_mask(monkeypatch, fig7):
     assert faces["ok"] and "detail" not in faces
     # the engines still agree, so their entry names no mask
     assert _entry(report, AGREE)["ok"] and "mask" not in _entry(report, AGREE)["detail"]
+
+
+def test_each_spanning_sub_is_counted_once(monkeypatch, fig7):
+    real, masks = duality.spanning_counts, []
+    for module in (duality, verify):
+        monkeypatch.setattr(module, "spanning_counts",
+                            lambda h, mask: masks.append(mask) or real(h, mask))
+    assert verify_hypermap(fig7)["ok"]
+    assert masks == list(range(1 << fig7.e))
 
 
 @settings(max_examples=25, deadline=None)
