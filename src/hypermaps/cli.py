@@ -8,6 +8,7 @@ the human output is a thin layer over the same data.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -193,7 +194,10 @@ def _cmd_check(args) -> int:
     return 0 if report["ok"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``hm`` argument parser, built once per process: parsing reads it
+    and leaves it as it was."""
     top = argparse.ArgumentParser(
         prog="hm",
         description="Hypermaps: partial duality and genus polynomial tooling",

@@ -31,7 +31,13 @@ from .errors import (
     HypermapError,
     MissingLabel,
 )
-from .duality import EdgeSubset, eps_partial_dual_formula, psi_restricted
+from .duality import (
+    EdgeSubset,
+    _dual_formulas,
+    eps_partial_dual_formula,
+    psi_restricted,
+    spanning_counts,
+)
 from .genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
 from .model import Hypermap, _dedupe, _paired_classes
 from .perm import Permutation
@@ -485,6 +491,10 @@ def check_subdivision(h: Hypermap, edge: int) -> dict:
         else:
             old_index[k] = h.hyperedge_names.index(name)
     full_old = sum(1 << k for k in range(h.e) if k != edge)
+    # one table of spanning counts per map: each is read by the formulas of
+    # A and of A^c, and each old subset is the reference of several new ones
+    span_sub = [spanning_counts(sub, m) for m in range(1 << sub.e)].__getitem__
+    span_h = [spanning_counts(h, m) for m in range(1 << h.e)].__getitem__
     shifts_ok = True
     witness = None
     mass = 0
@@ -495,7 +505,8 @@ def check_subdivision(h: Hypermap, edge: int) -> dict:
                 a_mask |= 1 << old_i
         if sum(mask >> k & 1 for k in new_edges) > 1:
             a_mask ^= full_old
-        delta = eps_partial_dual_formula(sub, mask) - eps_partial_dual_formula(h, a_mask)
+        delta = (_dual_formulas(sub, mask, span_sub)[1]
+                 - _dual_formulas(h, a_mask, span_h)[1])
         mass += 1
         if delta not in (0, 2, 4):
             shifts_ok = False

@@ -288,11 +288,11 @@ def check_properties(h: Hypermap, a, b=None) -> PropertyReport:
     """
     sub_a = _as_subset(h, a)
     ha = partial_dual(h, sub_a)
-    report = _add_single(PropertyReport(), h, sub_a, ha,
+    report = _add_single(PropertyReport(), h, sub_a.mask, ha,
                          partial_dual(h, sub_a.complement()), spanning_counts(h, sub_a))
     if b is not None:
         sub_b = _as_subset(h, b)
-        _add_compositions(report, h, sub_a, sub_b, ha, partial_dual(h, sub_b),
+        _add_compositions(report, h, sub_a.mask, sub_b.mask, ha, partial_dual(h, sub_b),
                           partial_dual(h, sub_a.symmetric_difference(sub_b)))
     return report
 
@@ -306,11 +306,11 @@ def _add_all(report: PropertyReport, checks, witness) -> PropertyReport:
     return report
 
 
-def _add_single(report: PropertyReport, h: Hypermap, a, ha: Hypermap,
+def _add_single(report: PropertyReport, h: Hypermap, a: int, ha: Hypermap,
                 hac: Hypermap, sa: SpanningSubCounts) -> PropertyReport:
-    """Add the single-subset identities to ``report``, given the validated
-    H^A and H^(A^c) and the counts of the spanning sub on A."""
-    sub_a = _as_subset(h, a)
+    """Add the single-subset identities of the hyperedge bitmask ``a`` to
+    ``report``, given the validated H^A and H^(A^c) and the counts of the
+    spanning sub on A."""
     cb_h, cb_a = h.counts(), ha.counts()
     full = (1 << h.e) - 1
     return _add_all(report, (
@@ -319,18 +319,17 @@ def _add_single(report: PropertyReport, h: Hypermap, a, ha: Hypermap,
         ("e(H^A) = e(H)", cb_a.e == cb_h.e),
         ("v(H^A) = f(A)", cb_a.v == sa.f),
         ("orientability preserved", cb_a.orientable == cb_h.orientable),
-        ("(H^A)^A = H", _dual_flags(ha, sub_a.mask) == _flags(h)),
+        ("(H^A)^A = H", _dual_flags(ha, a) == _flags(h)),
         ("(H^A)^* = H^(A^c)", _dual_flags(ha, full) == _flags(hac)),
-    ), lambda: {"A": sub_a.names(h)})
+    ), lambda: {"A": EdgeSubset(a, h.e).names(h)})
 
 
-def _add_compositions(report: PropertyReport, h: Hypermap, a, b,
+def _add_compositions(report: PropertyReport, h: Hypermap, a: int, b: int,
                       ha: Hypermap, hb: Hypermap, h_ab: Hypermap) -> PropertyReport:
-    """Add the two pair identities to ``report``, given the validated H^A,
-    H^B and H^(A xor B)."""
-    sub_a, sub_b = _as_subset(h, a), _as_subset(h, b)
-    lhs = _dual_flags(ha, sub_b.mask)
+    """Add the two pair identities of the hyperedge bitmasks ``a`` and ``b``
+    to ``report``, given the validated H^A, H^B and H^(A xor B)."""
+    lhs = _dual_flags(ha, b)
     return _add_all(report, (
-        ("(H^A)^B = (H^B)^A", lhs == _dual_flags(hb, sub_a.mask)),
+        ("(H^A)^B = (H^B)^A", lhs == _dual_flags(hb, a)),
         ("(H^A)^B = H^(A xor B)", lhs == _flags(h_ab)),
-    ), lambda: {"A": sub_a.names(h), "B": sub_b.names(h)})
+    ), lambda: {"A": EdgeSubset(a, h.e).names(h), "B": EdgeSubset(b, h.e).names(h)})

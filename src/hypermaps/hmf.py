@@ -9,9 +9,22 @@
 Labels are arbitrary positive integers, each appearing exactly once in the
 vertex section and once in the hyperedge section; ``iota`` is optional and is
 solved for when absent.  ``#`` starts a comment.
+
+Reading is one pass over the lines.  A ``vertex`` or ``hyperedge`` line of
+the shape ``write_hmf`` prints, ``(a b ...) (c d ...)`` with single spaces
+and no leading zeros, and an ``iota`` line of the shape ``(a b)(c d)...``
+are matched by one regular expression and converted with ``int``.  Every
+other line goes through the general tokenizer, ``parse_cycle_lists``, so a
+malformed line fails with the error it always had.  The labels are then
+made dense and the cycle pairs go to ``Hypermap.from_parts``, which checks
+them in linear time while it builds the images.  Writing walks each class's
+two cycles over the image tuples.
 """
 
 from __future__ import annotations
+
+import re
+from itertools import chain
 
 from .errors import CycleFormatError, DuplicateLabel, MissingLabel
 from .model import Hypermap
@@ -19,20 +32,96 @@ from .perm import Permutation, parse_cycle_lists
 
 __all__ = ["read_hmf", "write_hmf"]
 
+_LABEL = r"[1-9][0-9]*"
+_CYCLE = rf"\(({_LABEL}(?: {_LABEL})*)\)"
+# a vertex or hyperedge line as write_hmf prints it: kind, name, two cycles
+_CLASS_LINE = re.compile(rf"(vertex|hyperedge) ([^\s#]+) {_CYCLE} {_CYCLE}")
+_IOTA = re.compile(rf"(?:\({_LABEL} {_LABEL}\))+")
+
+
+def _iota_labels(text: str, lineno: int) -> list[int]:
+    """The labels of an ``iota`` line, pair after pair."""
+    if _IOTA.fullmatch(text):
+        try:
+            return list(map(int, text[1:-1].replace(")(", " ").split(" ")))
+        except ValueError:  # more digits than int() converts: reported below
+            pass
+    pairs = parse_cycle_lists(text)
+    if any(len(c) != 2 for c in pairs):
+        raise CycleFormatError(f"line {lineno}: iota must be 2-cycles")
+    return [x for c in pairs for x in c]
+
+
+def _iota_image(labels: list[int], dense: dict[int, int]) -> list[int]:
+    """The side pairing named by the ``iota`` labels, on dense labels.
+
+    Pairs are checked in order: an unknown label, then a repeated one; then
+    the pairs must cover every label.
+    """
+    n = len(dense)
+    try:
+        flat = list(map(dense.__getitem__, labels))
+    except KeyError:
+        flat = None
+    if flat is None or len(flat) != n or len(set(flat)) != n:
+        # a check fails, or a pair (a a), which the axiom check rejects
+        # later: run the checks pair by pair
+        img = list(range(n))
+        seen: set[int] = set()
+        pairs = iter(labels)
+        for a, b in zip(pairs, pairs):
+            if a not in dense or b not in dense:
+                raise MissingLabel(f"iota names unknown label {a} or {b}")
+            if dense[a] in seen or dense[b] in seen:
+                raise DuplicateLabel("label repeated in iota")
+            seen.update((dense[a], dense[b]))
+            img[dense[a]] = dense[b]
+            img[dense[b]] = dense[a]
+        if len(seen) != n:
+            raise MissingLabel("iota must pair every label")
+        return img
+    img = [0] * n
+    pairs = iter(flat)
+    for a, b in zip(pairs, pairs):
+        img[a] = b
+        img[b] = a
+    return img
+
 
 def read_hmf(text: str) -> Hypermap:
     saw_header = False
     declared_n: int | None = None
     vertex_lines: list[tuple[str, list[list[int]]]] = []
     hyperedge_lines: list[tuple[str, list[list[int]]]] = []
-    iota_pairs: list[list[int]] | None = None
+    iota_labels: list[int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _CLASS_LINE.fullmatch(raw)
+        if m:
+            kind, name, a, b = m.groups()
+            try:
+                cycles = [list(map(int, a.split(" "))), list(map(int, b.split(" ")))]
+            except ValueError:  # more digits than int() converts: reported below
+                pass
+            else:
+                target = vertex_lines if kind == "vertex" else hyperedge_lines
+                target.append((name, cycles))
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split(None, 2)
         kind = parts[0]
-        if kind == "hmf":
+        if kind in ("vertex", "hyperedge"):
+            if len(parts) < 3:
+                raise CycleFormatError(f"line {lineno}: missing name or cycles")
+            cycles = parse_cycle_lists(parts[2])
+            if len(cycles) != 2:
+                raise CycleFormatError(
+                    f"line {lineno}: a {kind} needs exactly two cycles"
+                )
+            target = vertex_lines if kind == "vertex" else hyperedge_lines
+            target.append((parts[1], cycles))
+        elif kind == "hmf":
             if parts[1:2] != ["1"]:
                 raise CycleFormatError(f"line {lineno}: unsupported hmf version")
             saw_header = True
@@ -43,22 +132,10 @@ def read_hmf(text: str) -> Hypermap:
                 raise CycleFormatError(
                     f"line {lineno}: 'labels' needs an integer count"
                 ) from None
-        elif kind in ("vertex", "hyperedge"):
-            if len(parts) < 3:
-                raise CycleFormatError(f"line {lineno}: missing name or cycles")
-            cycles = parse_cycle_lists(parts[2])
-            if len(cycles) != 2:
-                raise CycleFormatError(
-                    f"line {lineno}: a {kind} needs exactly two cycles"
-                )
-            target = vertex_lines if kind == "vertex" else hyperedge_lines
-            target.append((parts[1], cycles))
         elif kind == "iota":
             if len(parts) < 2:
                 raise CycleFormatError(f"line {lineno}: 'iota' needs its 2-cycles")
-            iota_pairs = parse_cycle_lists(line.split(None, 1)[1])
-            if any(len(c) != 2 for c in iota_pairs):
-                raise CycleFormatError(f"line {lineno}: iota must be 2-cycles")
+            iota_labels = _iota_labels(line.split(None, 1)[1], lineno)
         else:
             raise CycleFormatError(f"line {lineno}: unknown directive {kind!r}")
     if not saw_header:
@@ -66,38 +143,25 @@ def read_hmf(text: str) -> Hypermap:
     if not vertex_lines or not hyperedge_lines:
         raise MissingLabel("need at least one vertex and one hyperedge")
 
-    externals = sorted({x for _, cycs in vertex_lines for c in cycs for x in c})
+    externals = sorted(set(chain.from_iterable(
+        chain.from_iterable(cycles for _, cycles in vertex_lines))))
     if declared_n is not None and declared_n != len(externals):
         raise MissingLabel(
             f"labels line declares {declared_n}, found {len(externals)}"
         )
-    dense = {ext: i for i, ext in enumerate(externals)}
-
-    def to_internal(cycles: list[list[int]]):
-        try:
-            return tuple([dense[x] for x in c] for c in cycles)
-        except KeyError as exc:
-            raise MissingLabel(
-                f"label {exc.args[0]} is not in the vertex section"
-            ) from None
-
-    vpairs = [to_internal(cycs) for _, cycs in vertex_lines]
-    epairs = [to_internal(cycs) for _, cycs in hyperedge_lines]
+    dense = dict(zip(externals, range(len(externals))))
+    internal = dense.__getitem__
+    vpairs = [(list(map(internal, a)), list(map(internal, b)))
+              for _, (a, b) in vertex_lines]
+    try:
+        epairs = [(list(map(internal, a)), list(map(internal, b)))
+                  for _, (a, b) in hyperedge_lines]
+    except KeyError as exc:
+        raise MissingLabel(f"label {exc.args[0]} is not in the vertex section") from None
     iota = None
-    if iota_pairs is not None:
-        img = list(range(len(externals)))
-        seen: set[int] = set()
-        for a, b in iota_pairs:
-            if a not in dense or b not in dense:
-                raise MissingLabel(f"iota names unknown label {a} or {b}")
-            if dense[a] in seen or dense[b] in seen:
-                raise DuplicateLabel("label repeated in iota")
-            seen.update((dense[a], dense[b]))
-            img[dense[a]] = dense[b]
-            img[dense[b]] = dense[a]
-        if len(seen) != len(externals):
-            raise MissingLabel("iota must pair every label")
-        iota = Permutation(img)
+    if iota_labels is not None:
+        # a bijection by construction; from_parts checks the flag axioms
+        iota = Permutation._of(_iota_image(iota_labels, dense))
 
     return Hypermap.from_parts(
         vpairs, epairs, iota=iota,
@@ -107,35 +171,31 @@ def read_hmf(text: str) -> Hypermap:
     )
 
 
-def _cycle_text(h: Hypermap, cycle: tuple[int, ...]) -> str:
-    ext = [h.label_names[x] for x in cycle]
-    k = ext.index(min(ext))
-    ext = ext[k:] + ext[:k]
-    return "(" + " ".join(str(x) for x in ext) + ")"
-
-
-def _pair_text(h: Hypermap, perm, labels: frozenset[int]) -> str:
-    primary = perm.orbit_of(min(labels))
-    mirror = perm.orbit_of(h.iota(primary[0]))
-    a, b = _cycle_text(h, primary), _cycle_text(h, mirror)
-    return f"{a} {b}"
-
-
 def write_hmf(h: Hypermap) -> str:
+    names, iota = h.label_names, h.iota.image
+
+    def pair_text(img: tuple[int, ...], labels: frozenset[int]) -> str:
+        """A class's cycle through its least label, then the mirror cycle,
+        each rotated to start at its least external label."""
+        texts = []
+        first = min(labels)
+        for start in (first, iota[first]):
+            ext = [names[start]]
+            y = img[start]
+            while y != start:
+                ext.append(names[y])
+                y = img[y]
+            k = ext.index(min(ext))
+            texts.append("(" + " ".join(map(str, ext[k:] + ext[:k])) + ")")
+        return " ".join(texts)
+
     lines = ["hmf 1", f"labels {h.n}"]
-    for i in range(h.v):
-        lines.append(
-            f"vertex {h.vertex_names[i]} {_pair_text(h, h.tau, h.vertex_sets[i])}"
-        )
-    for i in range(h.e):
-        lines.append(
-            f"hyperedge {h.hyperedge_names[i]} {_pair_text(h, h.psi, h.hyperedge_sets[i])}"
-        )
-    pairs = []
-    for x in range(h.n):
-        y = h.iota(x)
-        if x < y:
-            pairs.append((h.label_names[x], h.label_names[y]))
-    pairs.sort(key=lambda p: min(p))
-    lines.append("iota " + "".join(f"({min(p)} {max(p)})" for p in pairs))
+    tau, psi = h.tau.image, h.psi.image
+    lines += [f"vertex {name} {pair_text(tau, labels)}"
+              for name, labels in zip(h.vertex_names, h.vertex_sets)]
+    lines += [f"hyperedge {name} {pair_text(psi, labels)}"
+              for name, labels in zip(h.hyperedge_names, h.hyperedge_sets)]
+    # each pair once, as (least, greatest) external label
+    pairs = sorted((a, b) for a, b in zip(names, [names[y] for y in iota]) if a < b)
+    lines.append("iota " + "".join([f"({a} {b})" for a, b in pairs]))
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ genus, components, orientability) derives from the triple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -237,9 +238,17 @@ class Hypermap:
         hyperedge cycle; the two cycles of a pair must have equal length.
         When ``iota`` is omitted a side pairing satisfying both mirror axioms
         and mapping each cycle onto its declared partner is solved for.
+
+        The checks fail in a fixed order: a repeated vertex label, a repeated
+        hyperedge label, sections covering different labels, labels not
+        dense, unequal vertex pair lengths, unequal hyperedge pair lengths,
+        no side pairing to solve for, the flag axioms, a cycle not mapped
+        onto its partner.
+        Each is linear in the labels; the label checks are set operations
+        and the pair lengths are checked while the images are built.
         """
-        labels_v = _collect_labels(vertex_pairs, "vertex")
-        labels_e = _collect_labels(hyperedge_pairs, "hyperedge")
+        labels_v = _section_labels(vertex_pairs, "vertex")
+        labels_e = _section_labels(hyperedge_pairs, "hyperedge")
         if labels_v != labels_e:
             missing = labels_v.symmetric_difference(labels_e)
             raise MissingLabel(
@@ -248,24 +257,22 @@ class Hypermap:
         n = len(labels_v)
         if labels_v != set(range(n)):
             raise MissingLabel("labels must be dense 0..n-1 internally")
-        for a, b in vertex_pairs:
-            if len(a) != len(b):
-                raise PairLengthMismatch(f"vertex pair {tuple(a)}/{tuple(b)}")
-        for a, b in hyperedge_pairs:
-            if len(a) != len(b):
-                raise PairLengthMismatch(f"hyperedge pair {tuple(a)}/{tuple(b)}")
-        tau = Permutation.from_cycles([c for p in vertex_pairs for c in p], n)
-        psi = Permutation.from_cycles([c for p in hyperedge_pairs for c in p], n)
+        tau, vcyc = _cycle_images(vertex_pairs, n, "vertex")
+        psi, ecyc = _cycle_images(hyperedge_pairs, n, "hyperedge")
         if iota is None:
             iota = solve_iota(tau, psi, vertex_pairs, hyperedge_pairs)
         _axiom_check(tau, psi, iota)
-        for a, b in list(vertex_pairs) + list(hyperedge_pairs):
-            if {iota(x) for x in a} != set(b):
-                raise IotaUnsolvable(
-                    f"iota does not map cycle {tuple(a)} onto its declared partner"
-                )
-        vsets = [frozenset(a) | frozenset(b) for a, b in vertex_pairs]
-        esets = [frozenset(a) | frozenset(b) for a, b in hyperedge_pairs]
+        # iota maps a cycle onto a whole cycle under the mirror axiom, so a
+        # cycle lands on its partner exactly when its first label does
+        img = iota.image
+        for cyc, pairs in ((vcyc, vertex_pairs), (ecyc, hyperedge_pairs)):
+            for a, b in pairs:
+                if a and cyc[img[a[0]]] != cyc[b[0]]:
+                    raise IotaUnsolvable(
+                        f"iota does not map cycle {tuple(a)} onto its declared partner"
+                    )
+        vsets = [frozenset(a).union(b) for a, b in vertex_pairs]
+        esets = [frozenset(a).union(b) for a, b in hyperedge_pairs]
         if vertex_names is None:
             vertex_names = [f"v{i + 1}" for i in range(len(vsets))]
         if hyperedge_names is None:
@@ -496,15 +503,52 @@ def _index_of(values: tuple, value, kind: str) -> int:
         raise MissingLabel(f"no {kind} {value!r}") from None
 
 
-def _collect_labels(pairs, kind: str) -> set[int]:
-    seen: set[int] = set()
+def _section_labels(pairs, kind: str) -> set[int]:
+    """The labels of a section of cycle pairs; a repeated one raises
+    :class:`DuplicateLabel`, the first repeat in section order."""
+    cycles = list(chain.from_iterable(pairs))
+    labels = set(chain.from_iterable(cycles))
+    if len(labels) != sum(map(len, cycles)):
+        seen: set[int] = set()
+        for x in chain.from_iterable(cycles):
+            if x in seen:
+                raise DuplicateLabel(f"label {x} repeated in {kind} section")
+            seen.add(x)
+    return labels
+
+
+def _cycle_images(pairs, n: int, kind: str) -> tuple[Permutation, list[int]]:
+    """The permutation whose cycles are the declared ones, which cover
+    0..n-1 once each, and the cycle of every label: the two cycles of pair
+    ``k`` are ``2k`` and ``2k + 1``.  A pair of unequal lengths raises
+    :class:`PairLengthMismatch`."""
+    img = list(range(n))
+    cyc = [-1] * n
+    number = 0
     for a, b in pairs:
-        for cyc in (a, b):
-            for x in cyc:
-                if x in seen:
-                    raise DuplicateLabel(f"label {x} repeated in {kind} section")
-                seen.add(x)
-    return seen
+        if len(a) != len(b):
+            raise PairLengthMismatch(f"{kind} pair {tuple(a)}/{tuple(b)}")
+        for c in (a, b):
+            if c:
+                prev = c[-1]
+                for x in c:
+                    img[prev] = x
+                    cyc[x] = number
+                    prev = x
+            number += 1
+    # disjoint cycles covering 0..n-1: a bijection
+    return Permutation._of(img), cyc
+
+
+def _cycle_numbers(pairs, n: int) -> list[int]:
+    """The cycle of every label, numbered as :func:`_cycle_images` does."""
+    cyc = [-1] * n
+    for k, (a, b) in enumerate(pairs):
+        for x in a:
+            cyc[x] = 2 * k
+        for x in b:
+            cyc[x] = 2 * k + 1
+    return cyc
 
 
 def solve_iota(tau: Permutation, psi: Permutation,
@@ -518,22 +562,12 @@ def solve_iota(tau: Permutation, psi: Permutation,
     order, constraints propagated, with backtracking on conflict.
     """
     n = tau.size
-    partner_v: list[frozenset[int] | None] = [None] * n
-    partner_e: list[frozenset[int] | None] = [None] * n
-    for a, b in vertex_pairs:
-        fa, fb = frozenset(a), frozenset(b)
-        for x in a:
-            partner_v[x] = fb
-        for x in b:
-            partner_v[x] = fa
-    for a, b in hyperedge_pairs:
-        fa, fb = frozenset(a), frozenset(b)
-        for x in a:
-            partner_e[x] = fb
-        for x in b:
-            partner_e[x] = fa
-    tau_inv = tau.inverse()
-    psi_inv = psi.inverse()
+    # y may pair with x only on the partner cycles of x's two cycles: the
+    # partner of cycle c is c ^ 1
+    vcyc, ecyc = _cycle_numbers(vertex_pairs, n), _cycle_numbers(hyperedge_pairs, n)
+    vcycles = [c for pair in vertex_pairs for c in pair]
+    t, p = tau.image, psi.image
+    t_inv, p_inv = tau.inverse().image, psi.inverse().image
     iota = [-1] * n
 
     def assign(x: int, y: int, trail: list[int]) -> bool:
@@ -547,15 +581,13 @@ def solve_iota(tau: Permutation, psi: Permutation,
                 continue
             if x == y or iota[y] not in (-1, x):
                 return False
-            if y not in partner_v[x] or y not in partner_e[x]:
+            if vcyc[y] != vcyc[x] ^ 1 or ecyc[y] != ecyc[x] ^ 1:
                 return False
             iota[x] = y
             iota[y] = x
             trail.append(x)
-            stack.append((tau(x), tau_inv(y)))
-            stack.append((psi(x), psi_inv(y)))
-            stack.append((tau(y), tau_inv(x)))
-            stack.append((psi(y), psi_inv(x)))
+            stack += ((t[x], t_inv[y]), (p[x], p_inv[y]),
+                      (t[y], t_inv[x]), (p[y], p_inv[x]))
         return True
 
     def undo(trail: list[int]) -> None:
@@ -572,7 +604,9 @@ def solve_iota(tau: Permutation, psi: Permutation,
     def level(x: int):
         """A search level: label ``x``, its untried candidates, and the
         bindings made by the candidate being tried."""
-        return x, iter(sorted(partner_v[x] & partner_e[x])), []
+        mate = ecyc[x] ^ 1
+        partners = vcycles[vcyc[x] ^ 1] if vcyc[x] != -1 else ()
+        return x, iter(sorted(y for y in partners if ecyc[y] == mate)), []
 
     # Depth-first search on an explicit stack.  Every label below a level's
     # label is bound, so the next level's label is found by scanning forward.

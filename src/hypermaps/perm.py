@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 import re
+from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleFormatError, SizeMismatch
@@ -194,10 +195,11 @@ class Permutation:
     # -- predicates and small queries --------------------------------------
 
     def is_involution(self) -> bool:
-        return all(self._img[y] == x for x, y in enumerate(self._img))
+        img = self._img
+        return [img[y] for y in img] == list(range(len(img)))
 
     def is_fixed_point_free(self) -> bool:
-        return all(y != x for x, y in enumerate(self._img))
+        return not any(map(eq, self._img, range(len(self._img))))
 
     def support(self) -> frozenset[int]:
         """Labels moved by the permutation."""

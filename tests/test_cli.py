@@ -1,11 +1,13 @@
 """The command-line front end: verbs, formats, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+import hypermaps.cli as cli
 import hypermaps.duality as duality
 import hypermaps.verify as verify
 from hypermaps.cli import run
@@ -206,6 +208,32 @@ def test_bad_request_is_a_json_domain_error(capsys, tmp_path, argv, text):
     code, out, err = invoke(capsys, *(a.replace("{f}", str(path)) for a in argv))
     assert code == 1 and out == ""
     assert "error" in json.loads(err)
+
+
+def test_parser_is_built_once_and_reused(capsys, tmp_path, monkeypatch):
+    # a run reusing the parser answers as a run on a parser of its own
+    text = write_hmf(fig7_example())
+    requests = (["info", "--json", "-"], ["pdual", "-A", "e1,e3", "-"],
+                ["pdual", "-"], ["info", "-"])
+
+    def call(argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [call(argv) for argv in requests]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0]
+    assert json.loads(reused[0][1])["eps"] == 2
 
 
 def test_usage_error_exit_code():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypermaps.constructions as constructions
 from hypermaps.constructions import (
     AmalgamationPicks,
     CornerRef,
@@ -193,6 +194,29 @@ def test_subdivision_check_reports(fig7):
         assert rep["ok"] and rep["mass"] == 2 ** (fig7.e + 2)
     for e in range(3):
         assert check_subdivision(cycle_hypertree(3), e)["ok"]
+
+
+def test_subdivision_check_counts_each_spanning_sub_once(monkeypatch, fig7):
+    real, counted = constructions.spanning_counts, []
+    monkeypatch.setattr(constructions, "spanning_counts",
+                        lambda h, mask: counted.append((h.e, mask)) or real(h, mask))
+    assert check_subdivision(fig7, 0)["ok"]
+    e = fig7.e
+    assert sorted(counted) == ([(e, m) for m in range(1 << e)]
+                               + [(e + 2, m) for m in range(1 << (e + 2))])
+
+
+def test_subdivision_check_names_the_first_failing_subset(monkeypatch, fig7):
+    real = constructions._dual_formulas
+
+    def shifted(h, mask, span):
+        chi, eps = real(h, mask, span)
+        return chi, eps + (h.e == fig7.e + 2 and mask in (5, 9))
+
+    monkeypatch.setattr(constructions, "_dual_formulas", shifted)
+    rep = check_subdivision(fig7, 0)
+    assert not rep["ok"] and not rep["shifts_ok"]
+    assert rep["witness"]["subset_mask"] == 5 and rep["witness"]["delta"] % 2 == 1
 
 
 def test_pendant_positions_and_counts(fig7):

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypermaps.duality import partial_dual
 from hypermaps.errors import (
     CycleFormatError,
     DuplicateLabel,
     HypermapError,
+    IotaUnsolvable,
     MissingLabel,
+    PairLengthMismatch,
 )
 from hypermaps.generators import (
     PLANE_BMF,
@@ -27,7 +30,7 @@ from hypermaps.walsh import (
     write_bmf,
 )
 
-from conftest import spec_maps
+from conftest import random_bipartite_spec, spec_maps
 
 PRINTED = {
     "plane_tau": "(1,5)(2,6)(9,47,31)(10,32,48)(15,43)(16,44)(19,21,39)(20,40,22)(25,33)(26,34)",
@@ -160,6 +163,59 @@ def test_hmf_errors():
                  "vertex w (" + "7" * 5000 + ") (3)"):
         with pytest.raises(CycleFormatError):
             read_hmf(f"hmf 1\n{line}\n{body}")
+
+
+# Each error the reader raises for lines of the shape write_hmf prints.
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("text, error, message", [
+    pytest.param("vertex a (1 2) (3 4)\nvertex b (2) (5)\n"
+                 "hyperedge e (1 3) (2 4)\nhyperedge f (5) (5)\n",
+                 DuplicateLabel, "vertex section", id="repeat-in-vertex-section"),
+    pytest.param("vertex a (1 2) (3 4)\nhyperedge e (1 3) (2 4)\nhyperedge f (1) (2)\n",
+                 DuplicateLabel, "hyperedge section", id="repeat-in-hyperedge-section"),
+    pytest.param("vertex a (1 2) (3 4)\nhyperedge e (1 3) (2 5)\n",
+                 MissingLabel, "label 5 is not in the vertex section",
+                 id="hyperedge-label-not-in-vertex-section"),
+    pytest.param("vertex a (1 2 3) (4)\nhyperedge e (1) (4)\nhyperedge f (2) (3)\n",
+                 PairLengthMismatch, "vertex pair", id="pair-lengths-differ"),
+    pytest.param("vertex a (1) (2)\nvertex b (3) (4)\nhyperedge e (1 3) (4 2)\n"
+                 "iota (1 4)(2 3)\n",
+                 IotaUnsolvable, "declared partner", id="iota-onto-a-non-partner"),
+    pytest.param(f"vertex a (1 {_LONG}) (3 4)\nhyperedge e (1) (3)\n",
+                 CycleFormatError, "label of 5000 digits", id="label-of-5000-digits"),
+    pytest.param(f"vertex a (1) (2)\nhyperedge e (1) ({_LONG})\n",
+                 CycleFormatError, "label of 5000 digits",
+                 id="hyperedge-label-of-5000-digits"),
+    pytest.param(f"vertex a (1) (2)\nhyperedge e (1) (2)\niota (1 {_LONG})\n",
+                 CycleFormatError, "label of 5000 digits", id="iota-label-of-5000-digits"),
+    pytest.param("vertex a (1 0) (3 4)\nhyperedge e (1 3) (0 4)\n",
+                 CycleFormatError, "positive", id="label-zero"),
+    pytest.param("vertex a (1) (2)\nhyperedge e (1) (2)\niota (0 1)\n",
+                 CycleFormatError, "positive", id="iota-label-zero"),
+])
+def test_read_hmf_error_classes(text, error, message):
+    with pytest.raises(error, match=message):
+        read_hmf("hmf 1\n" + text)
+
+
+def _without_iota(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("iota"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6), mask=st.integers(0, 2**8 - 1))
+def test_hmf_text_roundtrips(seed, mask):
+    # a twisted map and one of its partial duals; without its iota line a
+    # text reads to the same cycles, with the least iota that fits them
+    h = walsh_build(random_bipartite_spec(seed, twisted=True))[1]
+    for m in (h, partial_dual(h, mask % (1 << h.e))):
+        text = write_hmf(m)
+        assert write_hmf(read_hmf(text)) == text
+        bare = _without_iota(text)
+        assert _without_iota(write_hmf(read_hmf(bare))) == bare
 
 
 def test_hmf_without_iota_many_components():
