@@ -3,12 +3,20 @@
 Each construction edits the flag arrays of its input: the image lists of
 ``tau``, ``psi`` and ``iota``, the second input's labels shifted past the
 first's and fresh label pairs put in front as fixed points.  An insertion
-splices one cycle into another by two transpositions of images, which keep
-the mirror axioms; subdivision then drops the old hyperedge's six labels.
-:meth:`Hypermap.from_flags` builds the result from the declared classes and
-re-checks the axioms and the classes.  A corner is addressed by one label;
-an insertion lands just before it in its cycle, the mirrored one just after
-its ``iota`` partner.
+splices one cycle into another by two transpositions of images; subdivision
+then drops the old hyperedge's six labels.  A corner is addressed by one
+label; an insertion lands just before it in its cycle, the mirrored one just
+after its ``iota`` partner.
+
+The result is built from its validated inputs, not re-validated whole.  The
+inputs' classes, names and class tables are carried over, moved to the new
+labels; only the splices are checked, exactly: the mirror axioms at the
+eight labels per splice where they can fail (see ``_splice``), and each
+rewritten or new class walked as a cycle and its mirror (``_Splices.check``).
+A construction costs a copy of the arrays and tables plus the classes it
+touches, and subdivision and pendants their genus postconditions.
+:meth:`Hypermap.from_flags`, :meth:`Hypermap.from_parts` and ``read_hmf``
+still validate in full whatever a caller hands in.
 
 Numbering of every result.  Labels: the fresh pairs (the last pair made
 first, each pair's ``iota`` partner first), then the first input's labels,
@@ -30,6 +38,7 @@ from .errors import (
     EdgeDegreeUnsupported,
     HypermapError,
     MissingLabel,
+    SelfPairedOrbit,
 )
 from .duality import (
     EdgeSubset,
@@ -126,63 +135,168 @@ def _flags(fresh: int, *maps: Hypermap) -> tuple[list[int], list[int], list[int]
     iota = [x ^ 1 for x in range(2 * fresh)]
     off = 2 * fresh
     for h in maps:
-        tau += [y + off for y in h.tau.image]
-        psi += [y + off for y in h.psi.image]
-        iota += [y + off for y in h.iota.image]
+        for img, perm in ((tau, h.tau), (psi, h.psi), (iota, h.iota)):
+            img += [y + off for y in perm.image] if off else perm.image
         off += h.n
     return tau, psi, iota
 
 
-def _splice(img: list[int], iota: Sequence[int], x: int, y: int) -> None:
+def _splice(img: list[int], iota: Sequence[int], x: int, y: int) -> tuple[int, ...]:
     """Splice the cycle of ``img`` through ``y`` in just before ``x``, and
-    its mirror cycle in just after ``iota[x]``.
+    its mirror cycle in just after ``iota[x]``; return the labels whose
+    image changed.
 
     Two transpositions: of the images of the predecessors of ``x`` and
-    ``y``, and of the images of ``iota[x]`` and ``iota[y]``.  A fixed point
-    ``y`` whose partner is fixed too becomes one new label in each of the
-    two cycles.  Predecessors come from the mirror axiom,
-    ``img^-1(x) = iota(img(iota(x)))``, which every splice preserves.
+    ``y``, and of the images of ``iota[x]`` and ``iota[y]``, so ``img``
+    stays a bijection.  A fixed point ``y`` whose partner is fixed too
+    becomes one new label in each of the two cycles.  Predecessors come
+    from the mirror axiom, ``img^-1(x) = iota(img(iota(x)))``.
+
+    Where the mirror axiom can break.  Let ``t`` satisfy it,
+    ``t[i[t[i[z]]]] == z`` for every ``z``, and let splices turn ``t`` into
+    ``t'``, changing the images of the labels in ``S`` only.  Take ``z``
+    with ``i[z]`` not in ``S``: then ``t'[i[z]] == t[i[z]]``, and
+    ``w = i[t[i[z]]]`` is ``t^-1[z]`` by the axiom for ``t``.  If ``w`` is
+    not in ``S`` either, ``t'[w] == t[w] == z``, so the axiom holds at
+    ``z``.  It can therefore fail only at ``z`` in ``i(S)`` or in
+    ``t(S)``: eight labels per splice, which :meth:`_Splices.check` tests.
     """
     px, py = iota[img[iota[x]]], iota[img[iota[y]]]
     img[px], img[py] = img[py], img[px]
     mx, my = iota[x], iota[y]
     img[mx], img[my] = img[my], img[mx]
+    return px, py, mx, my
 
 
-def _cycle(img: list[int], iota: Sequence[int], labels: Sequence[int]) -> None:
-    """Make fixed points ``labels`` one cycle of ``img``, in that order, and
-    their partners its mirror cycle."""
-    for y in labels[1:]:
-        _splice(img, iota, labels[0], y)
+class _Splices:
+    """The flag arrays of a construction (see :func:`_flags`), spliced in
+    place.  Each spliced array keeps its images from before its first
+    splice and the labels whose image a splice changed."""
+
+    def __init__(self, fresh: int, *maps: Hypermap):
+        self.tau, self.psi, self.iota = _flags(fresh, *maps)
+        self._before: dict[str, tuple[tuple[int, ...], set[int]]] = {}
+
+    def splice(self, name: str, x: int, y: int) -> None:
+        """:func:`_splice` on the array ``name``, ``"tau"`` or ``"psi"``."""
+        img = getattr(self, name)
+        _, changed = self._before.setdefault(name, (tuple(img), set()))
+        changed.update(_splice(img, self.iota, x, y))
+
+    def cycle(self, name: str, labels: Sequence[int]) -> None:
+        """Make fixed points ``labels`` one cycle of ``name``, in that order,
+        and their partners its mirror cycle."""
+        for y in labels[1:]:
+            self.splice(name, labels[0], y)
+
+    def check(self, vertices: Iterable[frozenset[int]],
+              hyperedges: Iterable[frozenset[int]]) -> None:
+        """Check the spliced arrays as :meth:`Hypermap.from_flags` would,
+        at the splices only.
+
+        The inputs are valid, and ``vertices`` and ``hyperedges`` are the
+        classes the construction declares rewritten or new; every other
+        class it declares is an input's class, moved, and all of them
+        partition the labels.  The mirror axioms are tested where
+        :func:`_splice` shows they can fail, in label order.  Each declared
+        class must be the cycle through its least label together with that
+        cycle's mirror, which must be another cycle, and the declared
+        classes must cover every label whose image changed.  Then every
+        other class is an input's: a cycle with no changed label is a
+        cycle of the inputs, and so is its mirror under ``iota``.
+        """
+        i, t, p = self.iota, self.tau, self.psi
+        suspects: set[int] = set()
+        for before, changed in self._before.values():
+            suspects.update(i[s] for s in changed)
+            suspects.update(before[s] for s in changed)
+        for z in sorted(suspects):
+            if t[i[t[i[z]]]] != z:
+                raise HypermapError(f"mirror axiom fails for tau at label {z}")
+            if p[i[p[i[z]]]] != z:
+                raise HypermapError(f"mirror axiom fails for psi at label {z}")
+        for name, kind, classes in (("tau", "vertex", vertices),
+                                    ("psi", "hyperedge", hyperedges)):
+            img = getattr(self, name)
+            covered: set[int] = set()
+            for labels in classes:
+                covered.update(_checked_class(img, i, labels, kind))
+            if not self._before.get(name, ((), set()))[1] <= covered:
+                raise HypermapError(
+                    f"declared {kind} classes disagree with the iota pairing")
 
 
-def _classes(sets: Sequence[frozenset[int]], names: Sequence[str], off: int,
-             skip: Iterable[int] = ()) -> list[tuple[frozenset[int], str]]:
-    """``(labels, name)`` of every class not in ``skip``, labels shifted by
-    ``off``."""
-    skip = set(skip)
-    return [(frozenset(x + off for x in s) if off else s, nm)
-            for i, (s, nm) in enumerate(zip(sets, names)) if i not in skip]
+def _checked_class(img: Sequence[int], iota: Sequence[int],
+                   labels: frozenset[int], kind: str) -> Iterable[int]:
+    """``labels``, checked to be the cycle of ``img`` through its least
+    label and the mirror cycle, as ``model._paired_classes`` finds them."""
+    walked: dict[int, None] = {}
+    first = min(labels)
+    for start in (first, iota[first]):
+        if start in walked:  # the mirror lies on the cycle just walked
+            raise SelfPairedOrbit(
+                f"{kind} orbit {tuple(walked)} is its own mirror image under iota")
+        y = start
+        while y not in walked:
+            walked[y] = None
+            y = img[y]
+    if walked.keys() != labels:
+        raise HypermapError(f"declared {kind} classes disagree with the iota pairing")
+    return walked
 
 
-def _build(tau: list[int], psi: list[int], iota: list[int],
-           vertices: list[tuple[frozenset[int], str]],
-           hyperedges: list[tuple[frozenset[int], str]],
-           kept: Sequence[int], fresh: int, tail: int = 0) -> Hypermap:
-    """The validated hypermap of flag arrays that splices keep bijections,
-    with its classes declared in order and their names made unique.  The
-    external names are ``fresh`` new ones, ``kept``, then ``tail`` new ones,
+def _carried(sets: Sequence[frozenset[int]], names: Sequence[str],
+             table: Sequence[int], move=None, base: int = 0,
+             gone: dict[int, int] | None = None):
+    """The classes of one input that a construction keeps, their names, and
+    the class of every label of the input in the result.
+
+    The kept classes keep their order and are numbered from ``base``; input
+    class ``k`` in ``gone`` becomes result class ``gone[k]``.  ``move`` maps
+    an input label to its result label (``None``: unchanged).
+    """
+    gone = gone or {}
+    kept: list[frozenset[int]] = []
+    kept_names: list[str] = []
+    remap: list[int] = []
+    start = 0
+    for k in [*sorted(gone), len(sets)]:
+        remap += range(base + len(kept), base + len(kept) + k - start)
+        kept += sets[start:k]
+        kept_names += names[start:k]
+        remap.append(gone.get(k, -1))
+        start = k + 1
+    if move is not None:
+        kept = [frozenset(map(move, s)) for s in kept]
+    if base or gone:
+        table = list(map(remap.__getitem__, table))
+    return kept, kept_names, table
+
+
+def _unique(head: Sequence[str], tail: Sequence[str]) -> list[str]:
+    """``_dedupe`` of ``head`` then ``tail``, where ``head``, an input's
+    names, are usually unique already and are then kept as they are."""
+    taken = set(head)
+    if len(taken) < len(head):
+        return _dedupe([*head, *tail])
+    return [*head, *_dedupe(tail, taken)]
+
+
+def _label_names(kept: Sequence[int], fresh: int, tail: int = 0) -> list[int]:
+    """External names: ``fresh`` new ones, ``kept``, then ``tail`` new ones,
     the new ones numbered on from ``max(kept)``."""
     top = max(kept, default=0)
     new = range(top + 1, top + 1 + fresh + tail)
-    return Hypermap.from_flags(
-        Permutation._of(tau), Permutation._of(psi), Permutation._of(iota),
-        hyperedge_sets=[s for s, _ in hyperedges],
-        hyperedge_names=_dedupe([nm for _, nm in hyperedges]),
-        vertex_sets=[s for s, _ in vertices],
-        vertex_names=_dedupe([nm for _, nm in vertices]),
-        label_names=[*new[:fresh], *kept, *new[fresh:]],
-    )
+    return [*new[:fresh], *kept, *new[fresh:]]
+
+
+def _assemble(sp: _Splices, vertices, hyperedges, label_names) -> Hypermap:
+    """The hypermap of checked flag arrays; ``vertices`` and ``hyperedges``
+    are each ``(sets, names, table)``, the names unique."""
+    return Hypermap(Permutation._of(sp.tau), Permutation._of(sp.psi),
+                    Permutation._of(sp.iota), vertices[0], hyperedges[0],
+                    vertices[1], hyperedges[1], label_names,
+                    vertex_of=vertices[2], hyperedge_of=hyperedges[2])
 
 
 # -- join ---------------------------------------------------------------------
@@ -201,15 +315,27 @@ def join(h1: Hypermap, c1: CornerRef, h2: Hypermap, c2: CornerRef) -> Hypermap:
     c1.validate(h1)
     c2.validate(h2)
     off = h1.n
-    tau, psi, iota = _flags(0, h1, h2)
-    _splice(tau, iota, c1.label, c2.label + off)
+    sp = _Splices(0, h1, h2)
+    sp.splice("tau", c1.label, c2.label + off)
     glued = h1.vertex_sets[c1.vertex] | {x + off for x in h2.vertex_sets[c2.vertex]}
-    vertices = (_classes(h1.vertex_sets, h1.vertex_names, 0, [c1.vertex])
-                + _classes(h2.vertex_sets, h2.vertex_names, off, [c2.vertex])
-                + [(glued, h1.vertex_names[c1.vertex])])
-    hyperedges = (_classes(h1.hyperedge_sets, h1.hyperedge_names, 0)
-                  + _classes(h2.hyperedge_sets, h2.hyperedge_names, off))
-    return _build(tau, psi, iota, vertices, hyperedges, h1.label_names, 0, h2.n)
+    sp.check([glued], [])
+    g = h1.v + h2.v - 2
+    vsets1, vnames1, vof1 = _carried(h1.vertex_sets, h1.vertex_names,
+                                     h1._vertex_of, gone={c1.vertex: g})
+    vsets2, vnames2, vof2 = _carried(h2.vertex_sets, h2.vertex_names,
+                                     h2._vertex_of, off.__add__, h1.v - 1,
+                                     {c2.vertex: g})
+    esets1, enames1, eof1 = _carried(h1.hyperedge_sets, h1.hyperedge_names,
+                                     h1._hyperedge_of)
+    esets2, enames2, eof2 = _carried(h2.hyperedge_sets, h2.hyperedge_names,
+                                     h2._hyperedge_of, off.__add__, h1.e)
+    return _assemble(
+        sp,
+        ([*vsets1, *vsets2, glued],
+         _unique(vnames1, [*vnames2, h1.vertex_names[c1.vertex]]),
+         [*vof1, *vof2]),
+        ([*esets1, *esets2], _unique(enames1, enames2), [*eof1, *eof2]),
+        _label_names(h1.label_names, 0, h2.n))
 
 
 # -- bar-amalgamation ---------------------------------------------------------
@@ -258,26 +384,40 @@ def bar_amalgamation(h1: Hypermap, p1: AmalgamationPicks,
     picks2 = _normalize_side(h2, p2.picks)
     fresh = len(picks1) + len(picks2)
     off1, off2 = 2 * fresh, 2 * fresh + h1.n
-    tau, psi, iota = _flags(fresh, h1, h2)
+    sp = _Splices(fresh, h1, h2)
     picked = []
     for k, (h, off, c) in enumerate([(h1, off1, c) for c in picks1]
                                     + [(h2, off2, c) for c in picks2]):
         s = 2 * (fresh - k) - 1  # the pair made k-th, partner s - 1
-        _splice(tau, iota, c.label + off, s)
+        sp.splice("tau", c.label + off, s)
         labels = frozenset(x + off for x in h.vertex_sets[c.vertex]) | {s, s - 1}
-        picked.append((s, (labels, h.vertex_names[c.vertex])))
+        picked.append((s, labels))
     side = len(picks1)
-    _cycle(psi, iota, [s for s, _ in picked[:side] + picked[side:][::-1]])
-    vertices = (_classes(h1.vertex_sets, h1.vertex_names, off1,
-                         [c.vertex for c in picks1])
-                + _classes(h2.vertex_sets, h2.vertex_names, off2,
-                           [c.vertex for c in picks2])
-                + [cls for _, cls in picked])
-    hyperedges = (_classes(h1.hyperedge_sets, h1.hyperedge_names, off1)
-                  + _classes(h2.hyperedge_sets, h2.hyperedge_names, off2)
-                  + [(frozenset(range(2 * fresh)), "bar")])
-    return _build(tau, psi, iota, vertices, hyperedges, h1.label_names,
-                  2 * fresh, h2.n)
+    sp.cycle("psi", [s for s, _ in picked[:side] + picked[side:][::-1]])
+    bar = frozenset(range(2 * fresh))
+    sp.check([labels for _, labels in picked], [bar])
+    first = h1.v - len(picks1) + h2.v - len(picks2)  # the first picked vertex
+    vsets1, vnames1, vof1 = _carried(
+        h1.vertex_sets, h1.vertex_names, h1._vertex_of, off1.__add__, 0,
+        {c.vertex: first + k for k, c in enumerate(picks1)})
+    vsets2, vnames2, vof2 = _carried(
+        h2.vertex_sets, h2.vertex_names, h2._vertex_of, off2.__add__, len(vsets1),
+        {c.vertex: first + side + k for k, c in enumerate(picks2)})
+    esets1, enames1, eof1 = _carried(h1.hyperedge_sets, h1.hyperedge_names,
+                                     h1._hyperedge_of, off1.__add__)
+    esets2, enames2, eof2 = _carried(h2.hyperedge_sets, h2.hyperedge_names,
+                                     h2._hyperedge_of, off2.__add__, h1.e)
+    picked_names = [h1.vertex_names[c.vertex] for c in picks1]
+    picked_names += [h2.vertex_names[c.vertex] for c in picks2]
+    return _assemble(
+        sp,
+        ([*vsets1, *vsets2, *(labels for _, labels in picked)],
+         _unique(vnames1, [*vnames2, *picked_names]),
+         # fresh label x is in the pair made (fresh - 1 - x // 2)-th
+         [*(first + fresh - 1 - x // 2 for x in range(2 * fresh)), *vof1, *vof2]),
+        ([*esets1, *esets2, bar], _unique(enames1, [*enames2, "bar"]),
+         [*[h1.e + h2.e] * (2 * fresh), *eof1, *eof2]),
+        _label_names(h1.label_names, 2 * fresh, h2.n))
 
 
 # -- spanning-sub face classes and corner counting ----------------------------
@@ -332,43 +472,75 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     l = h.hyperedge_cycle(edge)  # (l1, l2, l3) in the first cycle's order
     touched = frozenset(h.vertex_of(x) for x in l)
 
-    tau, psi, iota = _flags(9, h)
+    sp = _Splices(9, h)
     made = [2 * (9 - k) - 1 for k in range(9)]
     a, b, c = made[0::3], made[1::3], made[2::3]
 
     def paired(*xs):  # fresh labels with their iota partners
-        return {y for x in xs for y in (x, x - 1)}
+        return frozenset(y for x in xs for y in (x, x - 1))
 
     rewired = {vi: {x + 18 for x in h.vertex_sets[vi]} for vi in touched}
     for i in range(3):
         # the old corner label gives way to (x_(i-1), x_i) in its mirror cycle
-        _splice(tau, iota, l[i] + 18, a[i])
-        _splice(tau, iota, l[i] + 18, b[i - 1])
+        sp.splice("tau", l[i] + 18, a[i])
+        sp.splice("tau", l[i] + 18, b[i - 1])
         rewired[h.vertex_of(l[i])] |= paired(a[i], b[i - 1])
-        _cycle(psi, iota, [a[i], b[i], c[i]])
-    _cycle(tau, iota, c)
-    vertices = (_classes(h.vertex_sets, h.vertex_names, 18, touched)
-                + [(s, h.vertex_names[vi]) for vi, s in rewired.items()]
-                + [(paired(*c), "u")])
-    hyperedges = (_classes(h.hyperedge_sets, h.hyperedge_names, 18, [edge])
-                  + [(paired(a[i], b[i], c[i]), f"{ename}_{i + 1}") for i in range(3)])
+        sp.cycle("psi", [a[i], b[i], c[i]])
+    sp.cycle("tau", c)
+    u = paired(*c)
+    stars = [paired(a[i], b[i], c[i]) for i in range(3)]
+    sp.check([*map(frozenset, rewired.values()), u], stars)
 
-    # drop the six old labels of e, each survivor ranked in label order
-    dead = {x + 18 for x in h.hyperedge_sets[edge]}
-    keep = [x for x in range(len(tau)) if x not in dead]
-    rank = [-1] * len(tau)
-    for k, x in enumerate(keep):
-        rank[x] = k
+    # Drop the six old labels of e, each survivor ranked in label order.
+    # They are one hyperedge class, closed under iota, so each array
+    # restricted to the rest keeps the mirror axioms and the classes lose
+    # just those labels.
+    dead = sorted(x + 18 for x in h.hyperedge_sets[edge])
+    rank = list(range(18))
+    for k, d in enumerate(dead):
+        rank += range(len(rank) - k, d - k)
+        rank.append(-1)
+    rank += range(len(rank) - 6, len(sp.tau) - 6)
 
     def squeeze(img: list[int]) -> list[int]:
-        img = Permutation._of(img).restrict(keep).image  # skips the dead
-        return [rank[img[x]] for x in keep]
+        for d in dead:  # the survivor before d now leads past the dead
+            p = sp.iota[img[sp.iota[d]]]
+            if rank[p] >= 0:
+                y = img[d]
+                while rank[y] < 0:
+                    y = img[y]
+                img[p] = y
+        return cut(list(map(rank.__getitem__, img)))
 
-    def ranked(classes):
-        return [(frozenset(rank[x] for x in s if x not in dead), nm) for s, nm in classes]
+    def cut(values: list, off: int = 0) -> list:
+        for d in reversed(dead):
+            del values[d - off]
+        return values
 
-    out = _build(squeeze(tau), squeeze(psi), squeeze(iota), ranked(vertices),
-                 ranked(hyperedges), [h.label_names[x - 18] for x in keep[18:]], 18)
+    moved = rank[18:].__getitem__
+    gone = {vi: h.v - len(rewired) + k for k, vi in enumerate(rewired)}
+    vsets, vnames, vof = _carried(h.vertex_sets, h.vertex_names, h._vertex_of,
+                                  moved, 0, gone)
+    esets, enames, eof = _carried(h.hyperedge_sets, h.hyperedge_names,
+                                  h._hyperedge_of, moved, 0, {edge: -1})
+    fresh_v = [h.v] * 18  # u, but for the pairs given to the v_i
+    for vi, labels in rewired.items():
+        for x in labels:
+            if x < 18:
+                fresh_v[x] = gone[vi]
+    # x_(i+1), hyperedge h.e - 1 + i, holds the fresh labels 12 - 6i .. 17 - 6i
+    fresh_e = [h.e + 1 - x // 6 for x in range(18)]
+    sp.tau, sp.psi = squeeze(sp.tau), squeeze(sp.psi)
+    sp.iota = cut(list(map(rank.__getitem__, sp.iota)))
+    out = _assemble(
+        sp,
+        ([*vsets, *(frozenset(rank[x] for x in s if rank[x] >= 0)
+                    for s in rewired.values()), u],
+         _unique(vnames, [*(h.vertex_names[vi] for vi in rewired), "u"]),
+         cut([*fresh_v, *vof])),
+        ([*esets, *stars], _unique(enames, [f"{ename}_{i + 1}" for i in range(3)]),
+         cut([*fresh_e, *eof])),
+        _label_names(cut(list(h.label_names), 18), 18))
     cb = out.counts()
     if cb.eps != eps_before or cb.f != f_before + 3:
         raise HypermapError(
@@ -396,14 +568,21 @@ def add_pendant_vertex(h: Hypermap, edge: int, position: int) -> Hypermap:
     if position not in h.hyperedge_sets[edge]:
         raise BadCorner(f"label {position} is not on hyperedge index {edge}")
     eps_before = h.counts().eps
-    tau, psi, iota = _flags(1, h)
-    _splice(psi, iota, position + 2, 1)
-    vertices = (_classes(h.vertex_sets, h.vertex_names, 2)
-                + [(frozenset({0, 1}), f"p{h.v + 1}")])
-    grown = frozenset(x + 2 for x in h.hyperedge_sets[edge]) | {0, 1}
-    hyperedges = (_classes(h.hyperedge_sets, h.hyperedge_names, 2, [edge])
-                  + [(grown, h.hyperedge_names[edge])])
-    out = _build(tau, psi, iota, vertices, hyperedges, h.label_names, 2)
+    sp = _Splices(1, h)
+    sp.splice("psi", position + 2, 1)
+    pendant = frozenset({0, 1})
+    grown = frozenset(x + 2 for x in h.hyperedge_sets[edge]) | pendant
+    sp.check([pendant], [grown])
+    vsets, vnames, vof = _carried(h.vertex_sets, h.vertex_names, h._vertex_of,
+                                  (2).__add__)
+    esets, enames, eof = _carried(h.hyperedge_sets, h.hyperedge_names,
+                                  h._hyperedge_of, (2).__add__, 0, {edge: h.e - 1})
+    out = _assemble(
+        sp,
+        ([*vsets, pendant], _unique(vnames, [f"p{h.v + 1}"]), [h.v, h.v, *vof]),
+        ([*esets, grown], _unique(enames, [h.hyperedge_names[edge]]),
+         [h.e - 1, h.e - 1, *eof]),
+        _label_names(h.label_names, 2))
     if out.counts().eps != eps_before:
         raise HypermapError("pendant insertion changed the Euler genus")
     return out

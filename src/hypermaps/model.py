@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
+    CycleFormatError,
     DuplicateLabel,
     HypermapError,
     IotaUnsolvable,
@@ -159,7 +160,11 @@ class Hypermap:
     )
 
     def __init__(self, tau, psi, iota, vertex_sets, hyperedge_sets,
-                 vertex_names, hyperedge_names, label_names):
+                 vertex_names, hyperedge_names, label_names,
+                 vertex_of=None, hyperedge_of=None):
+        """Assemble validated parts.  ``vertex_of`` and ``hyperedge_of``, the
+        class index of every label, are derived from the classes unless a
+        caller that already has them passes them."""
         self.tau: Permutation = tau
         self.psi: Permutation = psi
         self.iota: Permutation = iota
@@ -168,16 +173,10 @@ class Hypermap:
         self.vertex_names: tuple[str, ...] = tuple(vertex_names)
         self.hyperedge_names: tuple[str, ...] = tuple(hyperedge_names)
         self.label_names: tuple[int, ...] = tuple(label_names)
-        vof = [-1] * tau.size
-        for i, s in enumerate(self.vertex_sets):
-            for x in s:
-                vof[x] = i
-        eof = [-1] * tau.size
-        for i, s in enumerate(self.hyperedge_sets):
-            for x in s:
-                eof[x] = i
-        self._vertex_of = tuple(vof)
-        self._hyperedge_of = tuple(eof)
+        self._vertex_of = tuple(vertex_of if vertex_of is not None
+                                else _class_table(self.vertex_sets, tau.size))
+        self._hyperedge_of = tuple(hyperedge_of if hyperedge_of is not None
+                                   else _class_table(self.hyperedge_sets, tau.size))
         self._counts = None
         self._components = None
         self._sides = None
@@ -241,9 +240,9 @@ class Hypermap:
 
         The checks fail in a fixed order: a repeated vertex label, a repeated
         hyperedge label, sections covering different labels, labels not
-        dense, unequal vertex pair lengths, unequal hyperedge pair lengths,
-        no side pairing to solve for, the flag axioms, a cycle not mapped
-        onto its partner.
+        dense, a vertex pair of unequal lengths or of two empty cycles, the
+        same for a hyperedge pair, no side pairing to solve for, the flag
+        axioms, a cycle not mapped onto its partner.
         Each is linear in the labels; the label checks are set operations
         and the pair lengths are checked while the images are built.
         """
@@ -267,7 +266,7 @@ class Hypermap:
         img = iota.image
         for cyc, pairs in ((vcyc, vertex_pairs), (ecyc, hyperedge_pairs)):
             for a, b in pairs:
-                if a and cyc[img[a[0]]] != cyc[b[0]]:
+                if cyc[img[a[0]]] != cyc[b[0]]:
                     raise IotaUnsolvable(
                         f"iota does not map cycle {tuple(a)} onto its declared partner"
                     )
@@ -496,6 +495,15 @@ class Hypermap:
         return self.canonical_signature() == other.canonical_signature()
 
 
+def _class_table(sets: Sequence[frozenset[int]], n: int) -> list[int]:
+    """The index of the class of every label."""
+    table = [-1] * n
+    for i, s in enumerate(sets):
+        for x in s:
+            table[x] = i
+    return table
+
+
 def _index_of(values: tuple, value, kind: str) -> int:
     try:
         return values.index(value)
@@ -521,20 +529,22 @@ def _cycle_images(pairs, n: int, kind: str) -> tuple[Permutation, list[int]]:
     """The permutation whose cycles are the declared ones, which cover
     0..n-1 once each, and the cycle of every label: the two cycles of pair
     ``k`` are ``2k`` and ``2k + 1``.  A pair of unequal lengths raises
-    :class:`PairLengthMismatch`."""
+    :class:`PairLengthMismatch`, a pair of two empty cycles
+    :class:`CycleFormatError`."""
     img = list(range(n))
     cyc = [-1] * n
     number = 0
     for a, b in pairs:
         if len(a) != len(b):
             raise PairLengthMismatch(f"{kind} pair {tuple(a)}/{tuple(b)}")
+        if not a:
+            raise CycleFormatError(f"{kind} pair of two empty cycles")
         for c in (a, b):
-            if c:
-                prev = c[-1]
-                for x in c:
-                    img[prev] = x
-                    cyc[x] = number
-                    prev = x
+            prev = c[-1]
+            for x in c:
+                img[prev] = x
+                cyc[x] = number
+                prev = x
             number += 1
     # disjoint cycles covering 0..n-1: a bijection
     return Permutation._of(img), cyc
@@ -628,10 +638,11 @@ def solve_iota(tau: Permutation, psi: Permutation,
     return Permutation(iota)
 
 
-def _dedupe(names: Sequence[str]) -> list[str]:
-    """Class names made unique in order: a name already taken gets primes
-    appended until it is free, so the first occurrence keeps its name."""
-    seen: set[str] = set()
+def _dedupe(names: Sequence[str], taken: Iterable[str] = ()) -> list[str]:
+    """Class names made unique in order: a name already taken, in ``taken``
+    or earlier in ``names``, gets primes appended until it is free, so the
+    first occurrence keeps its name."""
+    seen = set(taken)
     out = []
     for nm in names:
         while nm in seen:

@@ -273,20 +273,31 @@ def parse_cycles(text: str, size: int | None = None) -> Permutation:
 def format_cycles(p: Permutation, names: Sequence[int] | None = None) -> str:
     """Canonical cycle text of ``p``.
 
-    ``names`` maps internal labels to the external positive integers used in
-    the text (default ``i + 1``).  Cycles are rotated to start at their
-    smallest external label and sorted by it; fixed points are omitted.  An
-    identity permutation formats as ``"()"``.
+    ``names`` maps internal labels to distinct external positive integers
+    used in the text (default ``i + 1``).  Cycles are rotated to start at
+    their smallest external label and sorted by it; fixed points are
+    omitted.  An identity permutation formats as ``"()"``.
+
+    One walk: labels are visited in order of their external names, so the
+    first label met on each cycle is its smallest, and the cycle is walked
+    from there, already rotated and in sorted place.
     """
+    img = p.image
     if names is None:
-        named = [[x + 1 for x in cyc] for cyc in p.orbits() if len(cyc) > 1]
+        names = range(1, len(img) + 1)
+        order: Iterable[int] = range(len(img))
     else:
-        named = [[names[x] for x in cyc] for cyc in p.orbits() if len(cyc) > 1]
-    rotated = []
-    for cyc in named:
-        k = cyc.index(min(cyc))
-        rotated.append(cyc[k:] + cyc[:k])
-    rotated.sort(key=lambda c: c[0])
-    if not rotated:
-        return "()"
-    return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in rotated)
+        order = sorted(range(len(img)), key=names.__getitem__)
+    seen = bytearray(len(img))
+    parts = []
+    for start in order:
+        y = img[start]
+        if y == start or seen[start]:
+            continue
+        parts.append(f"({names[start]}")
+        while y != start:
+            seen[y] = 1
+            parts.append(f" {names[y]}")
+            y = img[y]
+        parts.append(")")
+    return "".join(parts) or "()"

@@ -24,6 +24,8 @@ from hypermaps.errors import (
     BadCorner,
     DuplicateVertexPick,
     EdgeDegreeUnsupported,
+    HypermapError,
+    SelfPairedOrbit,
 )
 from hypermaps.genuspoly import euler_genus_polynomial
 from hypermaps.generators import (
@@ -36,6 +38,8 @@ from hypermaps.generators import (
     torus_example,
 )
 from hypermaps.hmf import write_hmf
+from hypermaps.model import Hypermap, _dedupe
+from hypermaps.perm import Permutation
 from hypermaps.walsh import BipartiteEdge, BipartiteMapSpec, BipartiteVertex, walsh_build
 
 from conftest import spec_maps
@@ -268,8 +272,6 @@ def test_aggregate_construction_report(fig7):
 
 def test_constructions_validate(fig7):
     # every construction output re-validates from its own flag data
-    from hypermaps.model import Hypermap
-
     s = star(3)
     outputs = [
         join(fig7, corner(fig7, 0), s, corner(s, 0)),
@@ -317,6 +319,151 @@ def test_face_classes_are_partial_dual_vertex_classes(h):
             for x in s:
                 expected[x] = i
         assert face_class_of_labels(h, mask) == expected
+
+
+# -- splices checked where they splice ---------------------------------------
+
+
+def _fields(h):
+    return (h.tau, h.psi, h.iota, h.vertex_sets, h.hyperedge_sets, h.vertex_names,
+            h.hyperedge_names, h.label_names, h._vertex_of, h._hyperedge_of)
+
+
+def _assert_equals_full_rebuild(out):
+    """``out`` is what the full validation of ``from_flags`` makes of its
+    flags: the same classes derived from the iota pairing, and, with the
+    classes declared in their order, every field, the tables included."""
+    derived = Hypermap.from_flags(out.tau, out.psi, out.iota)
+    assert set(derived.vertex_sets) == set(out.vertex_sets)
+    assert set(derived.hyperedge_sets) == set(out.hyperedge_sets)
+    again = Hypermap.from_flags(
+        out.tau, out.psi, out.iota,
+        hyperedge_sets=out.hyperedge_sets, hyperedge_names=out.hyperedge_names,
+        vertex_sets=out.vertex_sets, vertex_names=out.vertex_names,
+        label_names=out.label_names)
+    assert _fields(again) == _fields(out)
+    assert len(set(out.vertex_names)) == out.v
+    assert len(set(out.hyperedge_names)) == out.e
+
+
+@settings(max_examples=80, deadline=None)
+@given(h1=spec_maps, h2=spec_maps, data=st.data())
+def test_constructions_equal_their_full_rebuild(h1, h2, data):
+    # twisted, possibly disconnected maps, or partial duals of them
+    h1 = partial_dual(h1, data.draw(st.integers(0, (1 << h1.e) - 1)))
+    h2 = partial_dual(h2, data.draw(st.integers(0, (1 << h2.e) - 1)))
+
+    def corner_of(h):
+        x = data.draw(st.integers(0, h.n - 1))
+        return CornerRef(h.vertex_of(x), x)
+
+    def picks_of(h):
+        vs = data.draw(st.lists(st.integers(0, h.v - 1), min_size=1, max_size=3,
+                                unique=True))
+        return AmalgamationPicks(tuple(
+            CornerRef(v, data.draw(st.sampled_from(sorted(h.vertex_sets[v]))))
+            for v in vs))
+
+    _assert_equals_full_rebuild(join(h1, corner_of(h1), h2, corner_of(h2)))
+    _assert_equals_full_rebuild(bar_amalgamation(h1, picks_of(h1), h2, picks_of(h2)))
+    edge = data.draw(st.integers(0, h1.e - 1))
+    position = data.draw(st.sampled_from(sorted(h1.hyperedge_sets[edge])))
+    _assert_equals_full_rebuild(add_pendant_vertex(h1, edge, position))
+    s3 = star(3)
+    h3 = join(h1, corner_of(h1), s3, corner_of(s3))
+    for edge in (i for i in range(h3.e) if h3.incidences(i) == 3):
+        _assert_equals_full_rebuild(subdivide3(h3, edge))
+
+
+@given(head=st.lists(st.sampled_from(["a", "a'", "a''", "b", "b'", "c"])),
+       tail=st.lists(st.sampled_from(["a", "a'", "b", "c", "d"])))
+def test_names_primed_as_one_list(head, tail):
+    assert constructions._unique(head, tail) == _dedupe([*head, *tail])
+
+
+def _drops_the_mirror(img, iota, x, y):
+    px, py = iota[img[iota[x]]], iota[img[iota[y]]]
+    img[px], img[py] = img[py], img[px]
+    return px, py
+
+
+def _splices_nothing(img, iota, x, y):
+    return ()
+
+
+def _moves_images_not_predecessors(img, iota, x, y):
+    img[x], img[y] = img[y], img[x]
+    mx, my = iota[x], iota[y]
+    img[mx], img[my] = img[my], img[mx]
+    return x, y, mx, my
+
+
+def _merges_a_cycle_with_its_mirror(img, iota, x, y):
+    px, pm = iota[img[iota[x]]], iota[img[x]]
+    img[px], img[pm] = img[pm], img[px]
+    return px, pm
+
+
+WRONG_SPLICES = {
+    "drops the mirror": (_drops_the_mirror, "mirror axiom fails"),
+    "splices nothing": (_splices_nothing, "classes disagree"),
+    "moves images": (_moves_images_not_predecessors, "mirror axiom fails"),
+    "twists": (_merges_a_cycle_with_its_mirror, None),
+}
+CONSTRUCTIONS = {
+    "join": lambda h, s: join(h, corner(h, 0), s, corner(s, 0)),
+    "bar": lambda h, s: bar_amalgamation(h, AmalgamationPicks((corner(h, 0),)),
+                                         s, AmalgamationPicks((corner(s, 1),))),
+    "subdivide": lambda h, s: subdivide3(h, 1),
+    "pendant": lambda h, s: add_pendant_vertex(h, 2, min(h.hyperedge_sets[2])),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+@pytest.mark.parametrize("wrong", sorted(WRONG_SPLICES))
+def test_a_wrong_splice_is_caught(monkeypatch, fig7, construction, wrong):
+    # the checks at the splices are live: each wrong splice raises, and no
+    # map comes back; a broken mirror axiom is reported at the same label
+    # as the full check of from_flags reports it
+    splice, message = WRONG_SPLICES[wrong]
+    monkeypatch.setattr(constructions, "_splice", splice)
+    local_check = constructions._Splices.check
+
+    def checks_agree(sp, vertices, hyperedges):
+        try:
+            Hypermap.from_flags(*map(Permutation, (sp.tau, sp.psi, sp.iota)))
+        except HypermapError as exc:
+            full = str(exc)
+        else:
+            full = ""
+        with pytest.raises(HypermapError) as local:
+            local_check(sp, vertices, hyperedges)
+        if full.startswith("mirror axiom"):
+            assert str(local.value) == full
+        raise local.value
+
+    monkeypatch.setattr(constructions._Splices, "check", checks_agree)
+    with pytest.raises(HypermapError, match=message):
+        CONSTRUCTIONS[construction](fig7, star(3))
+
+
+def test_a_splice_outside_the_declared_classes_is_caught():
+    # two fresh pairs spliced into one vertex that no declared class holds
+    sp = constructions._Splices(2)
+    sp.splice("tau", 0, 2)
+    with pytest.raises(HypermapError, match="vertex classes disagree"):
+        sp.check([], [])
+    sp.check([frozenset(range(4))], [])
+
+
+def test_a_self_paired_cycle_is_caught():
+    # one fresh pair made a single cycle (1 2): its mirror lies on it
+    sp = constructions._Splices(1)
+    sp.tau[:] = [1, 0]
+    with pytest.raises(SelfPairedOrbit):
+        sp.check([frozenset({0, 1})], [])
+    with pytest.raises(SelfPairedOrbit):
+        Hypermap.from_flags(Permutation(sp.tau), Permutation(sp.psi), Permutation(sp.iota))
 
 
 # -- pinned output -------------------------------------------------------------

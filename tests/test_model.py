@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypermaps.errors import (
+    CycleFormatError,
     DuplicateLabel,
     HypermapError,
     IotaUnsolvable,
@@ -161,6 +162,13 @@ def test_from_parts_errors():
         Hypermap.from_parts([([0, 0], [1, 2])], [([0, 1], [2, 2])])
     with pytest.raises(MissingLabel):
         Hypermap.from_parts([([0], [1])], [([0], [2])])
+
+
+def test_from_parts_rejects_an_empty_cycle_pair():
+    with pytest.raises(CycleFormatError, match="vertex pair of two empty cycles"):
+        Hypermap.from_parts([([0], [1]), ([], [])], [([0], [1])])
+    with pytest.raises(CycleFormatError, match="hyperedge pair of two empty cycles"):
+        Hypermap.from_parts([([0], [1])], [([0], [1]), ([], [])])
 
 
 def test_self_paired_orbit_rejected():

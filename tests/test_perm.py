@@ -190,3 +190,35 @@ def test_nested_restriction(p, data):
 @given(perms)
 def test_format_parse_roundtrip(p):
     assert parse_cycles(format_cycles(p), size=p.size) == p
+
+
+def _format_cycles_by_orbits(p, names=None):
+    """The former three-pass ``format_cycles``: all orbits, then each cycle
+    rotated to its least external label, then the cycles sorted."""
+    if names is None:
+        named = [[x + 1 for x in cyc] for cyc in p.orbits() if len(cyc) > 1]
+    else:
+        named = [[names[x] for x in cyc] for cyc in p.orbits() if len(cyc) > 1]
+    rotated = []
+    for cyc in named:
+        k = cyc.index(min(cyc))
+        rotated.append(cyc[k:] + cyc[:k])
+    rotated.sort(key=lambda c: c[0])
+    if not rotated:
+        return "()"
+    return "".join("(" + " ".join(str(x) for x in cyc) + ")" for cyc in rotated)
+
+
+@given(st.data())
+def test_format_cycles_matches_the_three_pass_text(data):
+    # some labels moved, the rest fixed; distinct external names with gaps,
+    # in shuffled order
+    n = data.draw(st.integers(0, 40))
+    moved = data.draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True)) if n else []
+    img = list(range(n))
+    for x, y in zip(moved, data.draw(st.permutations(moved))):
+        img[x] = y
+    p = Permutation(img)
+    names = data.draw(st.permutations(range(1, 3 * n + 2)))[:n]
+    assert format_cycles(p) == _format_cycles_by_orbits(p)
+    assert format_cycles(p, names) == _format_cycles_by_orbits(p, names)
