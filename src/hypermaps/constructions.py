@@ -30,7 +30,7 @@ names are then made unique in that order by priming.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .errors import (
     BadCorner,
@@ -189,8 +189,8 @@ class _Splices:
         for y in labels[1:]:
             self.splice(name, labels[0], y)
 
-    def check(self, vertices: Iterable[frozenset[int]],
-              hyperedges: Iterable[frozenset[int]]) -> None:
+    def check(self, vertices: Iterable[AbstractSet[int]],
+              hyperedges: Iterable[AbstractSet[int]]) -> None:
         """Check the spliced arrays as :meth:`Hypermap.from_flags` would,
         at the splices only.
 
@@ -227,7 +227,7 @@ class _Splices:
 
 
 def _checked_class(img: Sequence[int], iota: Sequence[int],
-                   labels: frozenset[int], kind: str) -> Iterable[int]:
+                   labels: AbstractSet[int], kind: str) -> Iterable[int]:
     """``labels``, checked to be the cycle of ``img`` through its least
     label and the mirror cycle, as ``model._paired_classes`` finds them."""
     walked: dict[int, None] = {}
@@ -489,7 +489,7 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     sp.cycle("tau", c)
     u = paired(*c)
     stars = [paired(a[i], b[i], c[i]) for i in range(3)]
-    sp.check([*map(frozenset, rewired.values()), u], stars)
+    sp.check([*rewired.values(), u], stars)
 
     # Drop the six old labels of e, each survivor ranked in label order.
     # They are one hyperedge class, closed under iota, so each array
