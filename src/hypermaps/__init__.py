@@ -4,7 +4,17 @@ Partial duality with respect to arbitrary hyperedge subsets, partial-dual
 Euler-genus and orientable-genus polynomials by exhaustive enumeration, the
 join / bar-amalgamation / subdivision constructions, and an identity
 verification suite over all of it.
+
+Diagnostics go to the ``hypermaps`` logger, which is silent unless the
+application configures logging.
 """
+
+import logging
+
+# set before the submodules load: genuspoly records it in its results
+__version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 from .errors import (
     BadCorner,
@@ -88,5 +98,3 @@ from .generators import (
     torus_example,
 )
 from .verify import fig7_gamma_advisory, verify_bundled, verify_hypermap
-
-__version__ = "0.1.0"

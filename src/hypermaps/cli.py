@@ -57,6 +57,17 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _thread_count(text: str) -> int:
+    """The value of ``--threads``: a whole number, at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _engine_config(args) -> EngineConfig:
     return EngineConfig(engine=args.engine, worker_count=args.threads,
                         edge_cap=args.edge_cap)
@@ -230,7 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
         add_io(p, output=False)
         p.add_argument("--engine", default="formula",
                        choices=("direct", "formula", "both"))
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="kernel worker threads (default HM_THREADS, else 1), "
+                            "at most the CPUs this process may use")
         p.add_argument("--edge-cap", type=int, default=30, dest="edge_cap",
                        help="most hyperedges enumerated at once (1-62): per join block "
                             "under formula, the whole map under direct and both")

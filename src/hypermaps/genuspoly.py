@@ -17,9 +17,19 @@ contiguous arc of the vertex's cycle, which is what a join splices in.
 Blocks that meet at a hyperedge, or whose labels cross in a vertex's cycle,
 stay in one piece.  The piece polynomials are multiplied, so ``2**e``
 subsets become ``sum 2**e_i``.  A map with no separating vertex, such as
-the hyper-ladder, costs one depth-first search and is returned whole;
-otherwise only the vertex cycles at separating vertices are scanned.
-``direct`` never factors.
+the hyper-ladder, costs one depth-first search and is counted whole, on its
+own arrays and cached sides; otherwise only the vertex cycles at separating
+vertices are scanned.  ``direct`` never factors.
+
+A piece is a group of labels of the map itself, not a map of its own
+(:class:`_Piece`).  ``tau`` restricted to each label's piece is one array
+for the whole map, in which only the cycles of the separating vertices are
+rewritten; ``psi`` and ``iota`` are the map's.  One check of the flag axioms
+on that array, and one ``<tau, psi>`` side pass, stand for validating and
+counting every piece: the pass gives each piece's orientability and the
+orbit it is counted on, and each piece is connected, so its constant is
+``2 - e + n/2``.  Only a piece that the kernel counts is built as a
+:class:`Hypermap`, when its plan runs.
 
 Each piece goes to one of two counters of f(A) + f(A^c), whichever has the
 lower cost estimate (:func:`_plan`).  Both count on one ``<tau, psi>`` orbit
@@ -44,23 +54,24 @@ all labels with the count halved otherwise.
   per step on the hyper-ladder, ``2**(n/2 - 1)`` at the widest step of
   ``cycle_hypertree(n)``.
 
-The estimates are deterministic functions of the block, computed before any
+The estimates are deterministic functions of the piece, computed before any
 work: the kernel's grows with ``2**e`` times the labels counted, the
 frontier's with a bound on its states, each scaled by constants measured
-with ``tools/engine_costs.py``.  On the 20-rung hyper-ladder (one block,
-e = 20) the frontier engine took the ``perfbench`` workload ``poly_ladder``
-from 0.44 s to about 1.2 ms median op time on a 2-core Intel Xeon; small
-blocks (e <= 8) take 0.02-0.3 ms in either engine.
+with ``tools/engine_costs.py``.  On a 2-core Intel Xeon the 20-rung
+hyper-ladder (one piece, e = 20, the ``perfbench`` workload
+``poly_ladder``) takes about 0.5 ms median op time, against 0.44 s when the
+kernel counted it; small pieces (e <= 8) take 0.02-0.3 ms in either engine.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +81,11 @@ from .errors import (
     HypermapError,
     NotConnected,
     NotOrientable,
+    SelfPairedOrbit,
 )
+from . import __version__
 from .duality import EdgeSubset, partial_dual
-from .model import Hypermap
+from .model import Hypermap, _axiom_check, _orbit_sides
 from .perm import Permutation
 
 __all__ = [
@@ -88,6 +101,8 @@ __all__ = [
 ]
 
 _COEFF_MAX = 2**64 - 1
+
+_log = logging.getLogger(__name__)
 
 
 class GenusPolynomial:
@@ -215,10 +230,23 @@ class EngineConfig:
             raise HypermapError("edge_cap must be between 1 and 62")
 
     def workers(self) -> int:
+        """The worker count: ``worker_count``, else ``HM_THREADS``, else 1,
+        and never more than the CPUs this process may run on."""
         if self.worker_count is not None:
-            return max(1, self.worker_count)
-        env = os.environ.get("HM_THREADS", "")
-        return max(1, int(env)) if env.isdigit() and env != "0" else 1
+            asked = self.worker_count
+        else:
+            env = os.environ.get("HM_THREADS", "")
+            asked = int(env) if env.isdigit() else 1
+        return max(1, min(asked, _usable_cpus()))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def subset_iter(e_count: int, edge_cap: int = 62):
@@ -424,12 +452,16 @@ class _Frontier:
     every label with the sum halved.
     """
 
-    def __init__(self, h: Hypermap):
-        self.h = h
-        self.halve, boxes = _counted_labels(h)
-        tau = h.tau.image
-        self.prev = prev = h.tau.inverse().image
-        box_of = h._hyperedge_of
+    def __init__(self, tau: Sequence[int], prev: Sequence[int], psi: Sequence[int],
+                 boxes: list[list[int]], box_of: Sequence[int], halve: bool,
+                 const: int):
+        """Count on the ``boxes``, the counted labels of each hyperedge of a
+        piece, wired by ``tau`` (``prev`` its inverse) and ``psi``;
+        ``box_of`` gives the box of every counted label.  Each f(A) + f(A^c)
+        is halved if ``halve``, and the polynomial's exponents are ``const``
+        minus it."""
+        self.tau, self.prev, self.psi = tau, prev, psi
+        self.halve, self.const = halve, const
         # the change in crossing wires if box i came next: its wires to other
         # boxes become crossing, those to placed boxes stop crossing
         delta = [0] * len(boxes)
@@ -474,9 +506,9 @@ class _Frontier:
         return ports, visits
 
     def polynomial(self) -> GenusPolynomial:
-        h, prev = self.h, self.prev
-        tau, psi, ident = h.tau.image, h.psi.image, range(h.n)
-        placed = [False] * h.n
+        tau, prev, psi = self.tau, self.prev, self.psi
+        ident = range(len(tau))
+        placed = [False] * len(tau)
         keys: list[int] = []  # outside labels whose wire enters, one per path
         # closed-cycle sums packed in one int: slot s counts the subsets with
         # f(A) + f(A^c) = s before halving
@@ -535,13 +567,68 @@ class _Frontier:
                     nxt[key] = nxt.get(key, 0) + (dist << _SLOT * (ca + cc))
             states = nxt
         (dist,) = states.values()
-        cb = h.counts()
-        const = 2 * cb.c - cb.e + cb.sum_n
+        const = self.const
         out = {}
         for s in range(dist.bit_length() // _SLOT + 1):
             if count := dist >> _SLOT * s & (1 << _SLOT) - 1:
                 out[const - (s // 2 if self.halve else s)] = count
         return GenusPolynomial(out)
+
+
+# -- join pieces: label groups of the map being enumerated -----------------------
+
+
+class _Piece(NamedTuple):
+    """One join piece, kept on its parent map's labels.
+
+    ``tau`` is the parent's ``tau`` restricted to each label's own piece
+    (``prev`` its inverse); ``psi`` and ``iota`` are the parent's, which keep
+    every hyperedge, so every piece, whole.  The arrays are shared by all the
+    pieces of one map.  ``boxes`` holds the counted labels of each of the
+    piece's hyperedges, in order of least label, and ``const`` is
+    ``2c - e + sum_n`` of the piece; ``box_of`` gives the index of each
+    label's hyperedge among the piece's.
+    """
+
+    labels: Sequence[int]  # the piece's labels, ascending
+    tau: Sequence[int]
+    prev: Sequence[int]
+    psi: Sequence[int]
+    iota: Sequence[int]
+    boxes: list[list[int]]
+    box_of: Sequence[int]
+    halve: bool  # not orientable: f(A) is counted on every label, twice over
+    const: int
+    whole: Hypermap | None = None  # the parent, when it is its only piece
+
+    @property
+    def e(self) -> int:
+        return len(self.boxes)
+
+    def frontier(self) -> _Frontier:
+        return _Frontier(self.tau, self.prev, self.psi, self.boxes, self.box_of,
+                         self.halve, self.const)
+
+    def hypermap(self) -> Hypermap:
+        """The piece as a map of its own: the parent when it is whole, else
+        the labels renumbered densely in order and validated by
+        :meth:`Hypermap.from_flags`, which numbers the hyperedges in order of
+        least label as ``boxes`` does."""
+        if self.whole is not None:
+            return self.whole
+        pos = {x: k for k, x in enumerate(self.labels)}
+        return Hypermap.from_flags(*(
+            Permutation._of([pos[img[x]] for x in self.labels])
+            for img in (self.tau, self.psi, self.iota)))
+
+
+def _whole(h: Hypermap) -> _Piece:
+    """A map as its own only piece, from its cached counts and sides."""
+    halve, boxes = _counted_labels(h)
+    cb = h.counts()
+    return _Piece(range(h.n), h.tau.image, h.tau.inverse().image, h.psi.image,
+                  h.iota.image, boxes, h._hyperedge_of, halve,
+                  2 * cb.c - cb.e + cb.sum_n, h)
 
 
 # -- choosing the engine of a block ---------------------------------------------
@@ -566,25 +653,25 @@ class _Plan:
     run: Callable[[int], GenusPolynomial]
 
 
-def _kernel_plan(h: Hypermap) -> _Plan:
-    universe = h.n if not h.counts().orientable else h.n // 2
+def _kernel_plan(piece: _Piece) -> _Plan:
     fixed, per = _KERNEL_S
-    return _Plan("kernel", fixed + per * universe * 2.0**h.e,
-                 lambda workers: _enumerate_formula(h, workers))
+    universe = sum(map(len, piece.boxes))  # n, or n/2 on one side of an orientable piece
+    return _Plan("kernel", fixed + per * universe * 2.0**piece.e,
+                 lambda workers: _enumerate_formula(piece.hypermap(), workers))
 
 
-def _frontier_plan(h: Hypermap) -> _Plan:
-    fr = _Frontier(h)
+def _frontier_plan(piece: _Piece) -> _Plan:
+    fr = piece.frontier()
     ports, visits = fr.work()
     fixed, per_port, per_visit = _FRONTIER_S
     return _Plan("frontier", fixed + per_port * ports + per_visit * visits,
                  lambda workers: fr.polynomial())
 
 
-def _plan(h: Hypermap) -> _Plan:
-    """The engine with the lower estimate for one join block, the kernel on a
-    tie.  A function of the block alone: nothing is timed."""
-    return min((_kernel_plan(h), _frontier_plan(h)), key=lambda p: p.seconds)
+def _plan(piece: _Piece) -> _Plan:
+    """The engine with the lower estimate for one join piece, the kernel on a
+    tie.  A function of the piece alone: nothing is timed."""
+    return min((_kernel_plan(piece), _frontier_plan(piece)), key=lambda p: p.seconds)
 
 
 # -- join factoring -------------------------------------------------------------
@@ -685,7 +772,7 @@ def _interleaved(colours: list[int]) -> list[int]:
     return list(count) if left > 1 else []
 
 
-def _join_blocks(h: Hypermap) -> list[Hypermap]:
+def _join_blocks(h: Hypermap) -> list[_Piece]:
     """The pieces of a connected hypermap, split at its separating vertices.
 
     Biconnected blocks of the incidence multigraph are merged when they meet
@@ -694,18 +781,17 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
     :func:`_interleaved` leaves can cross).  Every other block meeting at a
     vertex holds one contiguous arc of its cycle, which is exactly what
     :func:`~hypermaps.constructions.join` splices in, so the map is a chain of
-    joins of the pieces and its polynomial is their product.  Each piece is
-    ``tau`` restricted to its labels with ``psi`` and ``iota`` (both keep
-    every hyperedge whole), renumbered densely and validated by
-    :meth:`Hypermap.from_flags`.  Returns ``[h]`` when nothing splits,
-    without a union when no vertex separates: the blocks then meet only at
-    hyperedges, so the hyperedge unions would merge them all.
+    joins of the pieces and its polynomial is their product.  Pieces come in
+    order of least label, as label groups of ``h`` (:func:`_pieces`).
+    Returns the whole map as its only piece when nothing splits, without a
+    union when no vertex separates: the blocks then meet only at hyperedges,
+    so the hyperedge unions would merge them all.
     """
     if h.n == 0:
-        return [h]
+        return [_whole(h)]
     block, count, cuts = _incidence_blocks(h)
     if not cuts:
-        return [h]
+        return [_whole(h)]
     parent = list(range(count))
 
     def find(a: int) -> int:
@@ -741,30 +827,97 @@ def _join_blocks(h: Hypermap) -> list[Hypermap]:
                 end[g] = max(end[g], end[t])
             if end[g] == k:
                 stack.pop()
-    piece = [find(b) for b in block]
-    labels: dict[int, list[int]] = {}
-    for x, b in enumerate(piece):
-        labels.setdefault(b, []).append(x)
-    if len(labels) == 1:
-        return [h]
-    # tau restricted to each label's own piece: the next label of that piece
-    # along its tau cycle, found in one backward pass over the cycle twice
-    tau_in = [0] * h.n
-    for cyc in h.tau.orbits():
-        ahead: dict[int, int] = {}
-        for x in reversed(cyc + cyc):
-            tau_in[x] = ahead.get(piece[x], x)
-            ahead[piece[x]] = x
-    pos = [0] * h.n
-    out = []
-    for lab in labels.values():
-        for k, x in enumerate(lab):
-            pos[x] = k
-        out.append(Hypermap.from_flags(*(
-            Permutation([pos[img[x]] for x in lab])
-            for img in (tau_in, h.psi.image, h.iota.image)
-        )))
-    return out
+    # pieces numbered densely in order of least label
+    root = [find(b) for b in range(count)]
+    ids: dict[int, int] = {}
+    piece = [ids.setdefault(root[b], len(ids)) for b in block]
+    if len(ids) == 1:
+        return [_whole(h)]
+    return _pieces(h, piece, len(ids), _restricted_tau(h, piece, cuts))
+
+
+def _restricted_tau(h: Hypermap, piece: list[int], cuts: list[int]) -> list[int]:
+    """``tau`` restricted to each label's own piece: the next label of that
+    piece along its ``tau`` cycle.  Only the cycles of the separating
+    vertices hold labels of more than one piece; each is rewritten in one
+    backward pass over it twice, and every other image is ``tau``'s."""
+    tau_in = list(h.tau.image)
+    iota = h.iota.image
+    for i in cuts:
+        first = min(h.vertex_sets[i])
+        for cyc in (h.tau.orbit_of(first), h.tau.orbit_of(iota[first])):
+            ahead: dict[int, int] = {}
+            for x in reversed(cyc + cyc):
+                tau_in[x] = ahead.get(piece[x], x)
+                ahead[piece[x]] = x
+    return tau_in
+
+
+def _pieces(h: Hypermap, piece: list[int], count: int,
+            tau_in: list[int]) -> list[_Piece]:
+    """The ``count`` pieces of ``h``, ``piece[x]`` being the piece of label
+    ``x`` and ``tau_in`` the restricted ``tau``.
+
+    One check over the whole map stands for validating every piece as a map
+    of its own: the flag axioms hold for ``(tau_in, psi, iota)``, which
+    makes ``tau_in`` a bijection, no ``tau_in`` cycle is its own mirror, each
+    of the three keeps every label in its piece, and each piece is connected.
+    One ``<tau_in, psi>`` side pass gives each piece's orientability and its
+    counting side, the orbit of its least label, as ``_counted_labels`` would
+    on the piece alone.  Each piece is connected, so its constant is
+    ``2 - e + n/2``.
+    """
+    n = h.n
+    psi, iota = h.psi.image, h.iota.image
+    restricted = Permutation._of(tau_in)
+    # the mirror axiom makes tau_in onto, so a bijection
+    _axiom_check(restricted, h.psi, h.iota)
+    prev = [0] * n
+    cycle = [-1] * n  # the least label of each tau_in cycle
+    for first in range(n):
+        x = first
+        while cycle[x] == -1:
+            cycle[x] = first
+            prev[tau_in[x]] = x
+            x = tau_in[x]
+    side = _orbit_sides(restricted, h.psi)
+    twisted = [False] * count
+    orbits = [0] * count  # <tau_in, psi> orbits of each piece
+    counted = [-1] * count  # the side counted on each piece
+    seen = -1  # sides are numbered in order of least label
+    for x, p in enumerate(piece):
+        s, y = side[x], iota[x]
+        if piece[tau_in[x]] != p or piece[psi[x]] != p or piece[y] != p:
+            raise HypermapError(f"label {x} is wired out of its join piece")
+        if cycle[y] == cycle[x]:
+            raise SelfPairedOrbit(f"restricted vertex orbit of label {x} is its own mirror")
+        if side[y] == s:
+            twisted[p] = True
+        if s > seen:
+            seen = s
+            orbits[p] += 1
+            if counted[p] == -1:
+                counted[p] = s
+    if any(k != 2 - t for k, t in zip(orbits, twisted)):
+        raise NotConnected("a join piece is not connected")
+    # the hyperedges of each piece in order of least label, each a box of
+    # the labels counted on it
+    labels: list[list[int]] = [[] for _ in range(count)]
+    boxes: list[list[list[int]]] = [[] for _ in range(count)]
+    box_of = [0] * n
+    index = [-1] * h.e  # of each hyperedge among its piece's
+    for x, (p, j) in enumerate(zip(piece, h._hyperedge_of)):
+        labels[p].append(x)
+        i = index[j]
+        if i == -1:
+            i = index[j] = len(boxes[p])
+            boxes[p].append([])
+        box_of[x] = i
+        if twisted[p] or side[x] == counted[p]:
+            boxes[p][i].append(x)
+    return [_Piece(labels[p], tau_in, prev, psi, iota, boxes[p], box_of, twisted[p],
+                   2 - len(boxes[p]) + len(labels[p]) // 2)
+            for p in range(count)]
 
 
 def _enumerate_direct(h: Hypermap) -> GenusPolynomial:
@@ -788,6 +941,7 @@ class EnumerationResult:
     elapsed_ms: float
     blocks: tuple[int, ...]  # hyperedge counts of the pieces enumerated
     block_engines: tuple[str, ...]  # the engine that enumerated each piece
+    workers: int  # the worker count, after EngineConfig.workers' cap
 
     def as_dict(self) -> dict:
         rep = spectrum_report(self.polynomial)
@@ -800,6 +954,8 @@ class EnumerationResult:
             "subsets": self.subsets,
             "blocks": list(self.blocks),
             "block_engines": list(self.block_engines),
+            "workers": self.workers,
+            "version": __version__,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.engines_agree is not None:
@@ -817,24 +973,28 @@ def _enumerate(h: Hypermap, cfg: EngineConfig
     (``None`` unless both ran), and the hyperedge count and engine of each
     piece enumerated.  ``both`` raises when they disagree.
 
-    The formula engine enumerates each join block (:func:`_join_blocks`) by
+    The formula engine enumerates each join piece (:func:`_join_blocks`) by
     the engine :func:`_plan` picks for it and multiplies, so ``edge_cap``
-    bounds each block; ``direct`` and the direct half of ``both`` enumerate,
-    and so are capped by, the whole map.
+    bounds each piece; ``direct`` and the direct half of ``both`` enumerate,
+    and so are capped by, the whole map.  Each plan is logged at debug level
+    to the ``hypermaps.genuspoly`` logger.
     """
     if not h.is_connected():
         raise NotConnected("genus polynomials are defined for connected hypermaps")
-    pieces = [h] if cfg.engine == "direct" else _join_blocks(h)
-    blocks = tuple(piece.e for piece in pieces)
+    pieces = None if cfg.engine == "direct" else _join_blocks(h)
+    blocks = (h.e,) if pieces is None else tuple(piece.e for piece in pieces)
     largest = max(blocks) if cfg.engine == "formula" else h.e
     if largest > cfg.edge_cap:
         raise EdgeCapExceeded(f"{largest} hyperedges exceeds the configured cap of {cfg.edge_cap}")
-    if cfg.engine == "direct":
+    if pieces is None:
         return _enumerate_direct(h), None, blocks, ("direct",)
     plans = [_plan(piece) for piece in pieces]
+    workers = cfg.workers()
     poly = GenusPolynomial({0: 1})
-    for plan in plans:
-        poly = poly.mul(plan.run(cfg.workers()))
+    for e, plan in zip(blocks, plans):
+        _log.debug("piece of %d hyperedges: %s engine, %.3g s estimated",
+                   e, plan.engine, plan.seconds)
+        poly = poly.mul(plan.run(workers))
     engines = tuple(plan.engine for plan in plans)
     if cfg.engine == "formula":
         return poly, None, blocks, engines
@@ -872,4 +1032,5 @@ def enumerate_partial_duals(h: Hypermap, cfg: EngineConfig | None = None) -> Enu
         elapsed_ms=elapsed,
         blocks=blocks,
         block_engines=engines,
+        workers=cfg.workers(),
     )

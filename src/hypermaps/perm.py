@@ -51,8 +51,9 @@ class Permutation:
         whose result is a bijection whenever its operands are calls it: the
         products and constructors of this class, the restricted ``psi`` and
         the partial-dual flags built by :mod:`hypermaps.duality`, and flag
-        arrays handed straight to ``Hypermap.from_flags``, whose mirror-axiom
-        check fails on any image that is not a bijection.
+        arrays handed straight to ``Hypermap.from_flags`` or to the
+        mirror-axiom check it runs, which fails on any image that is not a
+        bijection.
         """
         p = object.__new__(cls)
         object.__setattr__(p, "_img", tuple(image))

@@ -28,6 +28,26 @@ def fig7():
     return fig7_example()
 
 
+class RecordingPool:
+    """A stand-in for ``ThreadPoolExecutor`` that records ``max_workers`` and
+    starts no thread: its one "worker" runs in the caller and drains the
+    shared iterator alone."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterables):
+        return [fn(iterables[0])]
+
+
 def random_bipartite_spec(seed: int, twisted: bool = True) -> BipartiteMapSpec:
     """A random connected bipartite map: a spanning tree plus extra edges,
     shuffled rotations, random twists and label-block sides."""

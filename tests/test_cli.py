@@ -2,17 +2,22 @@
 
 import io
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 
+import hypermaps
 import hypermaps.cli as cli
+import hypermaps.genuspoly as gp
 import hypermaps.duality as duality
 import hypermaps.verify as verify
 from hypermaps.cli import run
-from hypermaps.generators import fig7_example
+from hypermaps.generators import fig7_example, ladder
 from hypermaps.hmf import read_hmf, write_hmf
+
+from conftest import RecordingPool
 
 
 def invoke(capsys, *argv):
@@ -107,6 +112,53 @@ def test_poly_reports_the_engine_of_each_block(capsys, tmp_path):
                           "--engine", "direct")
     assert code == 0
     assert json.loads(out)["block_engines"] == ["direct"]
+
+
+def test_poly_records_its_provenance(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 2)
+    path = gen(capsys, tmp_path, "ladder", "4")
+    for extra, workers in (((), 1), (("--threads", "2"), 2), (("--engine", "direct"), 1)):
+        code, out, err = invoke(capsys, "poly", str(path), *extra)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["workers"] == workers and data["version"] == hypermaps.__version__
+
+
+def test_threads_are_capped_and_at_least_one(capsys, tmp_path, monkeypatch):
+    path = gen(capsys, tmp_path, "cycle_hypertree", "10")
+    for bad in ("0", "-3", "many"):
+        with pytest.raises(SystemExit) as exc:
+            run(["poly", str(path), "--threads", bad])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # a request for 100000 threads gets the usable CPUs; the pool starts none
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gp, "_STEP_LABELS", 1)
+    monkeypatch.setattr(gp, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code, out, _ = invoke(capsys, "poly", str(path), "--threads", "100000")
+    assert code == 0
+    data = json.loads(out)
+    assert data["block_engines"] == ["kernel"] and data["workers"] == 2
+    assert RecordingPool.sizes == [2]
+
+
+def test_the_hypermaps_logger_is_silent_by_default(tmp_path, caplog):
+    script = ("import logging, sys, hypermaps; from hypermaps.cli import run; "
+              "logging.getLogger('hypermaps.genuspoly').warning('not shown'); "
+              "sys.exit(run(sys.argv[1:]))")
+    path = tmp_path / "ladder.hmf"
+    path.write_text(write_hmf(ladder(5)))
+    done = subprocess.run([sys.executable, "-c", script, "poly", str(path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["blocks"] == [5]
+    # configured, the logger shows each piece's plan
+    caplog.set_level(logging.DEBUG, logger="hypermaps")
+    assert run(["poly", str(path)]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "piece of 5 hyperedges: frontier engine, "
+        f"{gp._plan(gp._whole(ladder(5))).seconds:.3g} s estimated"]
 
 
 def test_spectrum(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, spectra, and the enumeration engines."""
 
+import os
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from hypermaps.errors import (
     HypermapError,
     NotConnected,
     NotOrientable,
+    SelfPairedOrbit,
 )
 from hypermaps.genuspoly import (
     EngineConfig,
@@ -28,7 +30,7 @@ from hypermaps.constructions import (
     bar_amalgamation,
     join,
 )
-from hypermaps.duality import partial_dual
+from hypermaps.duality import EdgeSubset, partial_dual
 from hypermaps.generators import (
     closed_form,
     cycle_hypertree,
@@ -48,7 +50,7 @@ from hypermaps.walsh import (
     walsh_build,
 )
 
-from conftest import random_bipartite_spec
+from conftest import RecordingPool, random_bipartite_spec
 
 
 def test_poly_arithmetic():
@@ -97,6 +99,7 @@ def test_subset_iter():
 
 
 def test_engine_config(monkeypatch):
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 8)  # as on an 8-CPU machine
     with pytest.raises(HypermapError):
         EngineConfig(engine="fast")
     with pytest.raises(HypermapError):
@@ -106,6 +109,26 @@ def test_engine_config(monkeypatch):
     assert EngineConfig().workers() == 5
     monkeypatch.delenv("HM_THREADS")
     assert EngineConfig().workers() == 1
+
+
+def test_worker_count_is_capped_at_the_usable_cpus(monkeypatch):
+    assert 1 <= gp._usable_cpus() <= (os.cpu_count() or 1)
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 2)
+    assert EngineConfig(worker_count=100000).workers() == 2
+    assert EngineConfig(worker_count=0).workers() == 1
+    monkeypatch.setenv("HM_THREADS", "100000")
+    assert EngineConfig().workers() == 2
+    for junk in ("0", "-4", "two", ""):
+        monkeypatch.setenv("HM_THREADS", junk)
+        assert EngineConfig().workers() == 1
+    # one subset pair per step: the kernel block has 16 steps to share out
+    monkeypatch.setattr(gp, "_STEP_LABELS", 1)
+    monkeypatch.setattr(gp, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    res = enumerate_partial_duals(cycle_hypertree(10), EngineConfig(worker_count=100000))
+    assert res.block_engines == ("kernel",) and res.workers == 2
+    assert RecordingPool.sizes == [2]
+    assert res.polynomial == closed_form("cycle_hypertree", 10)
 
 
 def test_known_polynomials(fig7):
@@ -305,11 +328,20 @@ def test_join_chains_formula_matches_direct(kinds, labels, shuffle):
     direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
     product = GenusPolynomial({0: 1})
     for piece in gp._join_blocks(h):
-        product = product.mul(euler_genus_polynomial(piece, EngineConfig(engine="direct")))
+        product = product.mul(euler_genus_polynomial(piece.hypermap(),
+                                                     EngineConfig(engine="direct")))
     assert product == direct
     res = enumerate_partial_duals(h)
     assert res.polynomial == direct
     assert sum(res.blocks) == h.e and len(res.blocks) >= len(parts)
+
+
+def assert_whole(h: Hypermap) -> None:
+    """``h`` is its own only piece, counted on its own arrays and classes."""
+    (piece,) = gp._join_blocks(h)
+    assert piece.hypermap() is h and list(piece.labels) == list(range(h.n))
+    assert piece.tau is h.tau.image and piece.psi is h.psi.image
+    assert piece.boxes == gp._counted_labels(h)[1]
 
 
 def test_join_blocks_keep_unsplittable_maps_whole(fig7):
@@ -324,7 +356,7 @@ def test_join_blocks_keep_unsplittable_maps_whole(fig7):
     cases += [cycle_hypertree(n) for n in range(3, 9)]
     cases += [crossing_vertex(t) for t in ((1, 1, 1, 1), (1, -1, 1, 1), (-1, 1, 1, -1))]
     for h in cases:
-        assert gp._join_blocks(h) == [h]
+        assert_whole(h)
 
 
 def test_maps_without_a_separating_vertex_skip_the_vertex_pass(monkeypatch):
@@ -333,7 +365,7 @@ def test_maps_without_a_separating_vertex_skip_the_vertex_pass(monkeypatch):
     monkeypatch.setattr(gp, "_interleaved", vertex_pass)
     for h in [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]:
         assert gp._incidence_blocks(h)[2] == []
-        assert gp._join_blocks(h) == [h]
+        assert_whole(h)
 
 
 def test_a_join_splits_at_any_vertex_the_search_meets():
@@ -414,12 +446,134 @@ def test_edge_cap_bounds_each_join_block():
         enumerate_partial_duals(h, EngineConfig(edge_cap=11))
 
 
+# -- join pieces as label groups of the parent map --------------------------------
+
+
+def rebuilt(h: Hypermap, labels) -> Hypermap:
+    """The piece of ``h`` on ``labels`` as a map of its own: ``tau``
+    restricted by :meth:`Permutation.restrict`, the labels renumbered in
+    order, validated in full."""
+    pos = {x: k for k, x in enumerate(labels)}
+    return Hypermap.from_flags(*(Permutation([pos[g(x)] for x in labels])
+                                 for g in (h.tau.restrict(labels), h.psi, h.iota)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=3),
+       labels=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
+                       min_size=2, max_size=2),
+       mask=st.integers(0, 2**12 - 1))
+def test_piece_views_match_their_rebuild(seeds, labels, mask):
+    chain = join_chain([_piece("spec", seed) for seed in seeds], labels)
+    for h in (chain, partial_dual(chain, EdgeSubset(mask % (1 << chain.e), chain.e))):
+        pieces = gp._join_blocks(h)
+        assert sorted(x for p in pieces for x in p.labels) == list(range(h.n))
+        assert len(pieces) >= len(seeds)
+        for piece in pieces:
+            alone = rebuilt(h, piece.labels)
+            assert piece.hypermap() == alone
+            assert (piece.e, len(piece.labels)) == (alone.e, alone.n)
+            assert piece.halve == (not alone.is_orientable())
+            cb = alone.counts()
+            assert cb.c == 1 and piece.const == 2 - cb.e + cb.sum_n
+            view, whole = gp._plan(piece), gp._plan(gp._whole(alone))
+            assert (view.engine, view.seconds) == (whole.engine, whole.seconds)
+            assert piece.frontier().polynomial() == \
+                euler_genus_polynomial(alone, EngineConfig(engine="direct"))
+
+
+def test_every_wrong_restriction_is_caught(monkeypatch):
+    h = join_chain([ladder(2), twisted_digon(), cycle_hypertree(3)], [(0, 1), (3, 2)])
+    assert len(gp._join_blocks(h)) == 3
+    real = gp._restricted_tau
+    wrong = []
+
+    def restricted_wrongly(g, piece, cuts):
+        return wrong[-1](real(g, piece, cuts))
+
+    def swap(a, b):
+        def edit(tau_in):
+            tau_in[a], tau_in[b] = tau_in[b], tau_in[a]
+            return tau_in
+        return edit
+
+    def copy(a, b):
+        def edit(tau_in):
+            tau_in[a] = tau_in[b]
+            return tau_in
+        return edit
+
+    monkeypatch.setattr(gp, "_restricted_tau", restricted_wrongly)
+    # Every swap is caught: by the mirror axiom, unless b = iota(tau(a)),
+    # whose swap merges a cycle with its mirror into a self-paired one.  An
+    # image copied over another breaks the mirror axiom, and tau itself,
+    # unrestricted, wires labels out of their pieces.
+    caught = []
+    for a in range(h.n):
+        for b in range(h.n):
+            for edit in ([swap(a, b)] if a < b else []) + ([copy(a, b)] if a != b else []):
+                wrong.append(edit)
+                with pytest.raises(HypermapError) as err:
+                    enumerate_partial_duals(h)
+                caught.append(err.type)
+    wrong.append(lambda tau_in: list(h.tau.image))
+    with pytest.raises(HypermapError, match="out of its join piece"):
+        enumerate_partial_duals(h)
+    assert len(caught) == h.n * (h.n - 1) * 3 // 2 and SelfPairedOrbit in caught
+
+
+def test_a_disconnected_piece_is_caught():
+    # pieces that share no vertex, put in one group, make a piece of two
+    # components, though its restricted tau is a valid flag system
+    h = join_chain([ladder(2), twisted_digon(), cycle_hypertree(3), star(2)],
+                   [(0, 1), (3, 2), (20, 0)])
+    pieces = gp._join_blocks(h)
+    cuts = gp._incidence_blocks(h)[2]
+    vertices = [{h.vertex_of(x) for x in p.labels} for p in pieces]
+    apart = [(p, q) for p in range(len(pieces)) for q in range(p)
+             if not vertices[p] & vertices[q]]
+    assert apart
+    for p, q in apart:
+        piece = [0] * h.n
+        for k, view in enumerate(pieces):
+            for x in view.labels:
+                piece[x] = q if k == p else k
+        ids = {}  # renumbered densely, in order of least label
+        piece = [ids.setdefault(k, len(ids)) for k in piece]
+        with pytest.raises(NotConnected):
+            gp._pieces(h, piece, len(ids), gp._restricted_tau(h, piece, cuts))
+
+
+def test_frontier_pieces_build_no_map(monkeypatch):
+    def rebuild(*args, **kwargs):
+        raise AssertionError("a piece was rebuilt as a map")
+
+    h = join_chain([ladder(7), cycle_hypertree(6), twisted_digon(), ladder(6)],
+                   [(3, 5), (40, 0), (9, 17)])
+    k = join_chain([ladder(3), cycle_hypertree(10)], [(0, 0)])
+    want = enumerate_partial_duals(h).polynomial
+    monkeypatch.setattr(Hypermap, "from_flags", rebuild)
+    res = enumerate_partial_duals(h)
+    assert res.polynomial == want and set(res.block_engines) == {"frontier"}
+    assert sorted(res.blocks) == [1, 6, 6, 7]
+    # a kernel piece is built when, and only when, its plan runs
+    plans = [gp._plan(p) for p in gp._join_blocks(k)]
+    assert sorted(plan.engine for plan in plans) == ["frontier", "kernel"]
+    with pytest.raises(AssertionError, match="rebuilt"):
+        enumerate_partial_duals(k)
+
+
 # -- the frontier engine and the engine of each block ------------------------------
 
 
-def each_engine(h: Hypermap) -> tuple[GenusPolynomial, GenusPolynomial]:
-    """The polynomial of one block by the kernel and by the frontier engine."""
-    return gp._enumerate_formula(h, 1), gp._Frontier(h).polynomial()
+def frontier(h: Hypermap) -> "gp._Frontier":
+    """The frontier engine on the whole of ``h``, unsplit."""
+    return gp._whole(h).frontier()
+
+
+def each_engine(piece: "gp._Piece") -> tuple[GenusPolynomial, GenusPolynomial]:
+    """The polynomial of one piece by the kernel and by the frontier engine."""
+    return gp._enumerate_formula(piece.hypermap(), 1), piece.frontier().polynomial()
 
 
 def two_pick_bar(data=None) -> Hypermap:
@@ -441,7 +595,7 @@ def two_pick_bar(data=None) -> Hypermap:
 def test_frontier_matches_direct_and_kernel_on_twisted_maps(seed):
     _, h = walsh_build(random_bipartite_spec(seed, twisted=True))
     direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
-    assert each_engine(h) == (direct, direct)
+    assert each_engine(gp._whole(h)) == (direct, direct)
 
 
 @settings(max_examples=30, deadline=None)
@@ -452,10 +606,10 @@ def test_frontier_matches_kernel_on_every_join_block(kinds, labels):
     h = join_chain([_piece(kind, seed) for kind, seed in kinds], labels)
     assume(h.e <= 10)
     for block in gp._join_blocks(h):
-        kernel, frontier = each_engine(block)
-        assert frontier == kernel
+        kernel, by_frontier = each_engine(block)
+        assert by_frontier == kernel
     # the frontier engine needs no split: the whole chain is one block to it
-    assert gp._Frontier(h).polynomial() == \
+    assert frontier(h).polynomial() == \
         euler_genus_polynomial(h, EngineConfig(engine="direct"))
 
 
@@ -465,17 +619,17 @@ def test_frontier_matches_kernel_on_two_pick_bars(data):
     h = two_pick_bar(data)
     assert h.e == 12
     for block in gp._join_blocks(h):
-        kernel, frontier = each_engine(block)
-        assert frontier == kernel
-    assert gp._Frontier(h).polynomial() == gp._enumerate_formula(h, 1)
+        kernel, by_frontier = each_engine(block)
+        assert by_frontier == kernel
+    assert frontier(h).polynomial() == gp._enumerate_formula(h, 1)
 
 
 def test_frontier_matches_direct_on_a_two_pick_bar_and_the_examples(plane, torus, fig7):
     empty = Hypermap.from_flags(Permutation([]), Permutation([]), Permutation([]))
     for h in (two_pick_bar(), plane, torus, fig7, twisted_digon(), star(4)):
         direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
-        assert gp._Frontier(h).polynomial() == direct
-    assert gp._Frontier(empty).polynomial() == GenusPolynomial({0: 1})
+        assert frontier(h).polynomial() == direct
+    assert frontier(empty).polynomial() == GenusPolynomial({0: 1})
 
 
 def test_ladder_closed_form_to_the_edge_cap():
@@ -486,7 +640,7 @@ def test_ladder_closed_form_to_the_edge_cap():
         assert res.polynomial == closed_form("ladder", n), n
         if n >= 8:
             assert res.block_engines == ("frontier",)
-    fr = gp._Frontier(ladder(62))
+    fr = frontier(ladder(62))
     fr.polynomial()
     assert fr.widths[:-1] == [2] * 61 and fr.states == [1] * 62
 
@@ -504,22 +658,22 @@ def test_engine_choice_is_a_function_of_the_block():
     base = ladder(20)
     new_of_old = list(range(base.n))
     rng.shuffle(new_of_old)
-    assert gp._plan(base.relabel(new_of_old)).engine == "frontier"
+    assert gp._plan(gp._whole(base.relabel(new_of_old))).engine == "frontier"
     # the one-cycle hypertree's frontier grows to n/2 paths: the estimate
     # bounds its states by 2**(t-1) and keeps the kernel at this size
-    assert gp._plan(cycle_hypertree(10)).engine == "kernel"
+    assert gp._plan(gp._whole(cycle_hypertree(10))).engine == "kernel"
     for h in (base, cycle_hypertree(10), two_pick_bar(), twisted_digon()):
-        first = gp._plan(h)
+        first = gp._plan(gp._whole(h))
         assert first.seconds > 0
-        assert [(p.engine, p.seconds) for p in (gp._plan(h), gp._plan(h))] == \
-            [(first.engine, first.seconds)] * 2
+        again = [gp._plan(gp._whole(h)), gp._plan(gp._whole(h))]
+        assert [(p.engine, p.seconds) for p in again] == [(first.engine, first.seconds)] * 2
 
 
 def test_block_engines_are_reported():
     h = join_chain([ladder(20), cycle_hypertree(10), twisted_digon()], [(0, 5), (3, 0)])
     res = enumerate_partial_duals(h, EngineConfig(edge_cap=20))
     assert sorted(zip(res.blocks, res.block_engines)) == \
-        [(1, gp._plan(twisted_digon()).engine), (10, "kernel"), (20, "frontier")]
+        [(1, gp._plan(gp._whole(twisted_digon())).engine), (10, "kernel"), (20, "frontier")]
     assert res.as_dict()["block_engines"] == list(res.block_engines)
     want = closed_form("ladder", 20).mul(closed_form("cycle_hypertree", 10)).mul(
         euler_genus_polynomial(twisted_digon(), EngineConfig(engine="direct")))

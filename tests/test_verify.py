@@ -33,7 +33,7 @@ def test_engine_disagreement_is_reported(monkeypatch, fig7):
     monkeypatch.setattr(gp, "_enumerate_formula",
                         lambda h, workers: GenusPolynomial({0: 2**h.e}))
     monkeypatch.setattr(gp._Frontier, "polynomial",
-                        lambda self: GenusPolynomial({0: 2**self.h.e}))
+                        lambda self: GenusPolynomial({0: 2**len(self.boxes)}))
     report = verify_hypermap(fig7)
     entry = _entry(report, AGREE)
     assert not entry["ok"] and not report["ok"]
