@@ -59,8 +59,9 @@ work: the kernel's grows with ``2**e`` times the labels counted, the
 frontier's with a bound on its states, each scaled by constants measured
 with ``tools/engine_costs.py``.  On a 2-core Intel Xeon the 20-rung
 hyper-ladder (one piece, e = 20, the ``perfbench`` workload
-``poly_ladder``) takes about 0.5 ms median op time, against 0.44 s when the
-kernel counted it; small pieces (e <= 8) take 0.02-0.3 ms in either engine.
+``poly_ladder``) takes under a millisecond median op time
+(``BENCH_12.json``, ``BENCH_13.json``), against 0.44 s when the kernel
+counted it; small pieces (e <= 8) take 0.02-0.3 ms in either engine.
 """
 
 from __future__ import annotations
@@ -655,7 +656,8 @@ class _Plan:
 
 def _kernel_plan(piece: _Piece) -> _Plan:
     fixed, per = _KERNEL_S
-    universe = sum(map(len, piece.boxes))  # n, or n/2 on one side of an orientable piece
+    n = len(piece.labels)
+    universe = n if piece.halve else n // 2  # one side of an orientable piece
     return _Plan("kernel", fixed + per * universe * 2.0**piece.e,
                  lambda workers: _enumerate_formula(piece.hypermap(), workers))
 
