@@ -333,3 +333,23 @@ def _add_compositions(report: PropertyReport, h: Hypermap, a: int, b: int,
         ("(H^A)^B = (H^B)^A", lhs == _dual_flags(hb, a)),
         ("(H^A)^B = H^(A xor B)", lhs == _flags(h_ab)),
     ), lambda: {"A": EdgeSubset(a, h.e).names(h), "B": EdgeSubset(b, h.e).names(h)})
+
+
+def _first_failing_pair(duals: list[Hypermap]) -> tuple[int, int] | None:
+    """The first ordered pair of hyperedge bitmasks ``(A, B)``, in row-major
+    order, at which one of the identities of :func:`_add_compositions`
+    fails, given the table of all partial duals indexed by bitmask.
+
+    Each unordered pair is composed once in each order, and nothing is kept.
+    Both orders of a pair fail together: each compares (H^A)^B with (H^B)^A,
+    and when those agree both compare the same flags with H^(A xor B).  So
+    the first failing ordered pair is the first failing one with A <= B.
+    """
+    masks = range(len(duals))
+    for a in masks:
+        ha = duals[a]
+        for b in masks[a:]:
+            lhs = _dual_flags(ha, b)
+            if (a != b and lhs != _dual_flags(duals[b], a)) or lhs != _flags(duals[a ^ b]):
+                return a, b
+    return None

@@ -23,13 +23,15 @@ from .duality import (
     _add_compositions,
     _add_single,
     _dual_formulas,
+    _first_failing_pair,
     partial_dual,
     spanning_counts,
     spanning_face_count_restricted,
 )
-from .errors import EdgeCapExceeded, HypermapError
+from .errors import EdgeCapExceeded, HypermapError, NotConnected
 from .genuspoly import (
     EngineConfig,
+    GenusPolynomial,
     euler_genus_polynomial,
     orientable_genus_polynomial,
     spectrum_report,
@@ -74,21 +76,24 @@ _SINGLE = "partial-duality identity suite (single subsets)"
 def verify_hypermap(h: Hypermap, subset_cap: int = 12) -> dict:
     """Exhaustive identity checks for one connected hypermap.
 
-    Every failing entry carries its own witness: the first subset (or pair of
-    subsets) at which its identity fails.  A map with more hyperedges than
-    the direct engine's cap is refused before any subset is checked.
+    Every failing entry carries its own witness: the least subset (or the
+    first pair of subsets) at which its identity fails.  A map with more
+    hyperedges than the direct engine's cap, or a disconnected one, is
+    refused before any subset is checked.  Each partial dual is built once.
     """
     if h.e > subset_cap:
         raise HypermapError(
             f"{h.e} hyperedges exceeds the check cap of {subset_cap}"
         )
-    # the engine entry runs the direct engine on the whole map: refuse a map
-    # it would refuse before the 2^e subsets of the pass below
+    # the pass enumerates the 2^e partial duals as the direct engine does:
+    # refuse what that engine would refuse as too costly
     direct_cap = EngineConfig().edge_cap
     if h.e > direct_cap:
         raise EdgeCapExceeded(
             f"{h.e} hyperedges exceeds the direct engine's cap of {direct_cap}"
         )
+    if not h.is_connected():
+        raise NotConnected("the partial-dual formulas need a connected hypermap")
     masks = subset_iter(h.e)
     # the pair entries read every partial dual; the per-subset pass streams
     duals = [partial_dual(h, mask) for mask in masks] if h.e <= _PAIR_CAP else None
@@ -98,35 +103,40 @@ def verify_hypermap(h: Hypermap, subset_cap: int = 12) -> dict:
     full = (1 << h.e) - 1
     two_c = 2 * h.component_count()
 
-    witness: dict[str, dict | None] = dict.fromkeys((_CHI, _EPS, _FACES, _SINGLE))
-    for mask in masks:
-        if duals:
-            ha, hac = duals[mask], duals[full ^ mask]
-        else:
-            ha, hac = partial_dual(h, mask), partial_dual(h, full ^ mask)
-        chi = ha.counts().chi
-        props = _add_single(PropertyReport(), h, mask, ha, hac, spans[mask])
-        chi_formula, eps_formula = _dual_formulas(h, mask, spans.__getitem__)
-        for name, ok in (
-            (_CHI, chi_formula == chi),
-            (_EPS, eps_formula == two_c - chi),
-            (_FACES, spanning_face_count_restricted(h, mask) == spans[mask].f),
-            (_SINGLE, props.ok),
-        ):
-            if not ok and witness[name] is None:
-                witness[name] = props.as_dict() if name == _SINGLE else {"mask": mask}
+    # the pass walks A and A^c together, so each dual is built once; each
+    # entry keeps its least failing mask and its witness there
+    found: dict[str, tuple[int, dict] | None] = dict.fromkeys((_CHI, _EPS, _FACES, _SINGLE))
+    tally: dict[int, int] = {}  # the direct engine's count, from the same duals
+    for a in masks[: (len(masks) + 1) // 2]:
+        ac = full ^ a
+        ha, hac = (duals[a], duals[ac]) if duals else (partial_dual(h, a), partial_dual(h, ac))
+        # at e = 0 the one subset is its own complement
+        for mask, dual, dual_c in ((a, ha, hac), (ac, hac, ha))[: 1 + (a != ac)]:
+            chi = dual.counts().chi
+            tally[two_c - chi] = tally.get(two_c - chi, 0) + 1
+            props = _add_single(PropertyReport(), h, mask, dual, dual_c, spans[mask])
+            chi_formula, eps_formula = _dual_formulas(h, mask, spans.__getitem__)
+            for name, ok in (
+                (_CHI, chi_formula == chi),
+                (_EPS, eps_formula == two_c - chi),
+                (_FACES, spanning_face_count_restricted(h, mask) == spans[mask].f),
+                (_SINGLE, props.ok),
+            ):
+                if not ok and (found[name] is None or mask < found[name][0]):
+                    found[name] = mask, props.as_dict() if name == _SINGLE else {"mask": mask}
+    witness = {name: f and f[1] for name, f in found.items()}
     entries = [_entry(name, wit is None, wit) for name, wit in witness.items()]
 
     if duals:
-        reports = (_add_compositions(PropertyReport(), h, a, b,
-                                     duals[a], duals[b], duals[a ^ b])
-                   for a in masks for b in masks)
-        wit = next((rep.as_dict() for rep in reports if not rep.ok), None)
+        pair = _first_failing_pair(duals)
+        wit = pair and _add_compositions(
+            PropertyReport(), h, *pair, duals[pair[0]], duals[pair[1]],
+            duals[pair[0] ^ pair[1]]).as_dict()
         entries.append(_entry("composition by symmetric difference (all pairs)",
                               wit is None, wit))
 
     poly = euler_genus_polynomial(h, EngineConfig(engine="formula"))
-    direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    direct = GenusPolynomial(tally)
     detail = {"polynomial": poly.as_json_dict()}
     if poly != direct:
         detail["direct_polynomial"] = direct.as_json_dict()

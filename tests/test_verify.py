@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 import hypermaps.duality as duality
 import hypermaps.genuspoly as gp
 import hypermaps.verify as verify
+from hypermaps.constructions import CornerRef, join
 from hypermaps.duality import EdgeSubset
-from hypermaps.genuspoly import GenusPolynomial
+from hypermaps.errors import NotConnected
+from hypermaps.generators import ladder, plane_example
+from hypermaps.genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
+from hypermaps.model import Hypermap, disjoint_union
+from hypermaps.perm import Permutation
 from hypermaps.verify import verify_hypermap
 from hypermaps.walsh import walsh_build
 
@@ -15,6 +20,8 @@ from conftest import random_bipartite_spec
 
 AGREE = "engines agree and coefficients sum to 2^e"
 PAIRS = "composition by symmetric difference (all pairs)"
+CHI = "characteristic formula equals the constructed dual"
+EPS = "genus formula equals the constructed dual"
 
 
 def _entry(report: dict, name: str) -> dict:
@@ -26,14 +33,41 @@ def shifted(chi_eps: tuple[int, int], d_chi: int, d_eps: int) -> tuple[int, int]
     return chi_eps[0] + d_chi, chi_eps[1] + d_eps
 
 
-def test_engine_disagreement_is_reported(monkeypatch, fig7):
-    assert _entry(verify_hypermap(fig7), AGREE)["ok"]
+def twisted_chain(e: int) -> Hypermap:
+    """Twisted random maps joined end to end, ``e`` hyperedges in all."""
+    pieces, seed = [], 0
+    while (total := sum(p.e for p in pieces)) < e:
+        piece = walsh_build(random_bipartite_spec(seed, twisted=True))[1]
+        if total + piece.e <= e:
+            pieces.append(piece)
+        seed += 1
+    h = pieces[0]
+    for k, piece in enumerate(pieces[1:]):
+        x, y = 3 * k % h.n, k % piece.n
+        h = join(h, CornerRef(h.vertex_of(x), x), piece, CornerRef(piece.vertex_of(y), y))
+    return h
 
-    # break both engines the formula engine picks from per join block
+
+def break_formula_engine(monkeypatch):
+    """Make both engines the formula engine picks from per join block
+    return 2^e z^0."""
     monkeypatch.setattr(gp, "_enumerate_formula",
                         lambda h, workers: GenusPolynomial({0: 2**h.e}))
     monkeypatch.setattr(gp._Frontier, "polynomial",
                         lambda self: GenusPolynomial({0: 2**len(self.boxes)}))
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    real, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_engine_disagreement_is_reported(monkeypatch, fig7):
+    assert _entry(verify_hypermap(fig7), AGREE)["ok"]
+
+    break_formula_engine(monkeypatch)
     report = verify_hypermap(fig7)
     entry = _entry(report, AGREE)
     assert not entry["ok"] and not report["ok"]
@@ -125,3 +159,87 @@ def test_a_wrong_second_application_fails_the_pair_entry(monkeypatch, fig7,
                "B": EdgeSubset(b, fig7.e).names(fig7)}
     failing = [c for c in entry["detail"]["identities"] if not c["ok"]]
     assert failing and all(c["witness"] == witness for c in failing)
+
+
+def test_check_refuses_a_disconnected_map_before_any_subset(monkeypatch):
+    two = disjoint_union(plane_example(), plane_example())
+
+    def started(*args):
+        raise AssertionError("the check started its subset pass")
+
+    for module in (verify, duality):
+        monkeypatch.setattr(module, "partial_dual", started)
+        monkeypatch.setattr(module, "spanning_counts", started)
+    with pytest.raises(NotConnected, match="^the partial-dual formulas need a connected hypermap$"):
+        verify_hypermap(two)
+
+
+def test_the_empty_map_has_one_subset():
+    empty = Hypermap.from_flags(*(Permutation([]),) * 3)
+    entry = _entry(verify_hypermap(empty), AGREE)
+    assert entry["ok"] and entry["detail"] == {"polynomial": {"0": 1}}
+
+
+def test_table_path_builds_each_dual_once_and_composes_each_pair_once(monkeypatch, fig7):
+    duals = count_calls(monkeypatch, verify, "partial_dual")
+    flags = count_calls(monkeypatch, duality, "_dual_flags")
+    # the direct entry reads the pass: the direct engine does not run
+    monkeypatch.setattr(gp, "_enumerate_direct", lambda h: pytest.fail("direct engine ran"))
+    assert verify_hypermap(fig7)["ok"]
+    e = fig7.e
+    assert sorted(mask for _, mask in duals) == list(range(2**e))
+    # 4^e compositions of the pair entry, (H^A)^A and (H^A)^* per subset, and
+    # one inside each partial_dual but that of the empty subset
+    assert len(flags) == 4**e + 2 * 2**e + 2**e - 1
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(ladder(7), id="ladder7"),
+    pytest.param(twisted_chain(7), id="twisted-chain7"),
+])
+def test_streaming_path_passes_and_builds_each_dual_once(monkeypatch, h):
+    assert h.e == 7 and h.is_connected()
+    duals = count_calls(monkeypatch, verify, "partial_dual")
+    monkeypatch.setattr(gp, "_enumerate_direct", lambda h: pytest.fail("direct engine ran"))
+    report = verify_hypermap(h)
+    assert report["ok"]
+    assert PAIRS not in {c["check"] for c in report["checks"]}
+    assert sorted(mask for _, mask in duals) == list(range(2**h.e))
+
+
+def test_streaming_witness_is_the_least_failing_mask(monkeypatch):
+    h = ladder(7)
+    # A and A^c are walked together by the A with the top bit clear, so the
+    # pair (7, 120) comes before (27, 100)
+    walked = count_calls(monkeypatch, verify, "partial_dual")
+    formulas = verify._dual_formulas
+    monkeypatch.setattr(verify, "_dual_formulas", lambda h, mask, span: shifted(
+        formulas(h, mask, span), mask in (100, 120), 2 * (mask in (100, 120))))
+    report = verify_hypermap(h)
+    order = [mask for _, mask in walked]
+    assert order.index(120) < order.index(100)
+    assert _entry(report, CHI)["detail"] == {"mask": 100}
+    assert _entry(report, EPS)["detail"] == {"mask": 100}
+
+
+def _direct_entry_matches_the_oracle(monkeypatch, h):
+    oracle = euler_genus_polynomial(h, EngineConfig(engine="direct"))
+    with monkeypatch.context() as patch:
+        break_formula_engine(patch)
+        detail = _entry(verify_hypermap(h), AGREE)["detail"]
+    # without a disagreement the entry shows one polynomial, the pass's own
+    assert detail.get("direct_polynomial", detail["polynomial"]) == oracle.as_json_dict()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_direct_entry_matches_the_direct_engine(seed, twisted):
+    h = walsh_build(random_bipartite_spec(seed, twisted=twisted))[1]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _direct_entry_matches_the_oracle(monkeypatch, h)
+
+
+def test_direct_entry_matches_the_direct_engine_when_streaming(monkeypatch):
+    h = twisted_chain(7)
+    assert not h.is_orientable()
+    _direct_entry_matches_the_oracle(monkeypatch, h)
