@@ -662,13 +662,10 @@ def check_subdivision(h: Hypermap, edge: int) -> dict:
         and sub.n == h.n + 12
         and sub.counts().eps == h.counts().eps
     )
-    old_index = {}
-    new_edges = []
-    for k, name in enumerate(sub.hyperedge_names):
-        if name.startswith(h.hyperedge_names[edge] + "_"):
-            new_edges.append(k)
-        else:
-            old_index[k] = h.hyperedge_names.index(name)
+    # subdivide3 keeps the other hyperedges in order and puts the three new
+    # ones last, whatever the names
+    old_index = {k: k + (k >= edge) for k in range(h.e - 1)}
+    new_edges = range(h.e - 1, h.e + 2)
     full_old = sum(1 << k for k in range(h.e) if k != edge)
     # one table of spanning counts per map: each is read by the formulas of
     # A and of A^c, and each old subset is the reference of several new ones
@@ -729,7 +726,7 @@ def check_construction_theorems(h1: Hypermap, c1: CornerRef,
     return {"ok": all(r["ok"] for r in reports), "reports": reports}
 
 
-def check_pendant_invariance(h: Hypermap, cfg: EngineConfig | None = None) -> dict:
+def check_pendant_invariance(h: Hypermap) -> dict:
     """Pendant insertion keeps eps at every position of every hyperedge."""
     base = h.counts().eps
     for edge in range(h.e):

@@ -28,8 +28,8 @@ rewritten; ``psi`` and ``iota`` are the map's.  One check of the flag axioms
 on that array, and one ``<tau, psi>`` side pass, stand for validating and
 counting every piece: the pass gives each piece's orientability and the
 orbit it is counted on, and each piece is connected, so its constant is
-``2 - e + n/2``.  Only a piece that the kernel counts is built as a
-:class:`Hypermap`, when its plan runs.
+``2 - e + n/2``.  Both counters read a piece in place, on those arrays, so
+no piece is ever built as a :class:`Hypermap` of its own.
 
 Each piece goes to one of two counters of f(A) + f(A^c), whichever has the
 lower cost estimate (:func:`_plan`).  Both count on one ``<tau, psi>`` orbit
@@ -257,19 +257,48 @@ def subset_iter(e_count: int, edge_cap: int = 62):
     return range(1 << e_count)
 
 
-def _counted_labels(h: Hypermap) -> tuple[bool, list[list[int]]]:
-    """Whether f(A) is counted twice over, and the labels of each hyperedge
-    on which both face-count engines count it.
+# -- join pieces: label groups of the map being enumerated -----------------------
 
-    On an orientable map that is one ``<tau, psi>`` orbit: ``iota`` swaps the
-    two orbits of a connected orientable hypermap and conjugates ``psi_A
-    then tau`` to an inverse, so each orbit carries one cycle of every face
-    pair.  Otherwise it is every label, and each face is counted twice.
+
+class _Piece(NamedTuple):
+    """One join piece, kept on its parent map's labels: the one input of both
+    face-count engines.
+
+    ``tau`` is the parent's ``tau`` restricted to each label's own piece
+    (``prev`` its inverse); ``psi`` is the parent's, which keeps every
+    hyperedge, so every piece, whole.  The arrays are shared by all the
+    pieces of one map.  ``boxes`` holds the counted labels of each of the
+    piece's hyperedges, in order of least label, and ``const`` is
+    ``2c - e + sum_n`` of the piece; ``box_of`` gives the index of each
+    label's hyperedge among the piece's.
     """
-    halve = not h.counts().orientable
+
+    labels: Sequence[int]  # the piece's labels, ascending
+    tau: Sequence[int]
+    prev: Sequence[int]
+    psi: Sequence[int]
+    boxes: list[list[int]]
+    box_of: Sequence[int]
+    halve: bool  # not orientable: f(A) is counted on every label, twice over
+    const: int
+
+    @property
+    def e(self) -> int:
+        return len(self.boxes)
+
+
+def _whole(h: Hypermap) -> _Piece:
+    """A map as its own only piece, from its cached counts and sides."""
+    cb = h.counts()
+    # On an orientable map the engines count on one <tau, psi> orbit: iota
+    # swaps the two orbits of a connected orientable hypermap and conjugates
+    # psi_A then tau to an inverse, so each orbit carries one cycle of every
+    # face pair.  Otherwise they count on every label, each face twice.
+    halve = not cb.orientable
     side = h.sides()
-    return halve, [[x for x in s if halve or side[x] == side[0]]
-                   for s in h.hyperedge_sets]
+    boxes = [[x for x in s if halve or side[x] == side[0]] for s in h.hyperedge_sets]
+    return _Piece(range(h.n), h.tau.image, h.tau.inverse().image, h.psi.image,
+                  boxes, h._hyperedge_of, halve, 2 * cb.c - cb.e + cb.sum_n)
 
 
 # -- the formula engine: one contracted, paired face-count kernel -------------
@@ -312,17 +341,17 @@ class _ContractedKernel:
     count of ``psi_A then T`` on the low labels alone.
     """
 
-    def __init__(self, h: Hypermap):
-        self.halve, edges = _counted_labels(h)
-        edges.sort(key=len)
-        self.k = k = max(0, min(_K, h.e - 1))
+    def __init__(self, piece: _Piece):
+        self.halve = piece.halve
+        edges = sorted(piece.boxes, key=len)
+        self.k = k = max(0, min(_K, piece.e - 1))
         labels = [x for s in edges for x in s]
         self.m = m = len(labels)
         self.nl = nl = sum(len(s) for s in edges[:k])
-        pos = np.empty(h.n, dtype=np.intp)
+        pos = np.empty(len(piece.tau), dtype=np.intp)
         pos[labels] = np.arange(m)
-        tau = pos[np.array(h.tau.image)[labels]]
-        psi = pos[np.array(h.psi.image)[labels]]
+        tau = pos[np.array(piece.tau)[labels]]
+        psi = pos[np.array(piece.psi)[labels]]
         edge = np.repeat(np.arange(len(edges)), [len(s) for s in edges])
         # psi_A on the low labels, one row per low assignment
         low_on = np.arange(1 << k)[:, None] >> edge[:nl] & 1
@@ -380,20 +409,19 @@ class _ContractedKernel:
         return f // 2 if self.halve else f
 
 
-def _enumerate_formula(h: Hypermap, workers: int) -> GenusPolynomial:
-    """The polynomial by the formula engine.
+def _enumerate_formula(piece: _Piece, workers: int) -> GenusPolynomial:
+    """The polynomial of one piece by the formula engine's kernel.
 
     Each high assignment without the top high bit is paired with its
     complement; reversing the low axis of the second batch lines f(A^c) up
     with f(A).  Workers take steps of pairs from one shared iterator and
     merge by integer addition.
     """
-    cb = h.counts()
-    const = 2 * cb.c - cb.e + cb.sum_n
-    if h.e == 0:  # the empty hypermap: one subset, no faces
+    const = piece.const
+    if piece.e == 0:  # the empty hypermap: one subset, no faces
         return GenusPolynomial({const: 1})
-    kern = _ContractedKernel(h)
-    flip = (1 << (h.e - kern.k)) - 1
+    kern = _ContractedKernel(piece)
+    flip = (1 << (piece.e - kern.k)) - 1
     total = (flip + 1) // 2
     step = _STEP_LABELS // (2 * kern.m + (kern.nl << (kern.k + 1)))
     step = max(1, min(step, total))
@@ -453,16 +481,13 @@ class _Frontier:
     every label with the sum halved.
     """
 
-    def __init__(self, tau: Sequence[int], prev: Sequence[int], psi: Sequence[int],
-                 boxes: list[list[int]], box_of: Sequence[int], halve: bool,
-                 const: int):
-        """Count on the ``boxes``, the counted labels of each hyperedge of a
-        piece, wired by ``tau`` (``prev`` its inverse) and ``psi``;
-        ``box_of`` gives the box of every counted label.  Each f(A) + f(A^c)
-        is halved if ``halve``, and the polynomial's exponents are ``const``
-        minus it."""
-        self.tau, self.prev, self.psi = tau, prev, psi
-        self.halve, self.const = halve, const
+    def __init__(self, piece: _Piece):
+        """Count on the piece's boxes, wired by its ``tau`` and ``psi``.  Each
+        f(A) + f(A^c) is halved if ``piece.halve``, and the polynomial's
+        exponents are ``piece.const`` minus it."""
+        tau, prev, boxes, box_of = piece.tau, piece.prev, piece.boxes, piece.box_of
+        self.tau, self.prev, self.psi = tau, prev, piece.psi
+        self.halve, self.const = piece.halve, piece.const
         # the change in crossing wires if box i came next: its wires to other
         # boxes become crossing, those to placed boxes stop crossing
         delta = [0] * len(boxes)
@@ -576,62 +601,6 @@ class _Frontier:
         return GenusPolynomial(out)
 
 
-# -- join pieces: label groups of the map being enumerated -----------------------
-
-
-class _Piece(NamedTuple):
-    """One join piece, kept on its parent map's labels.
-
-    ``tau`` is the parent's ``tau`` restricted to each label's own piece
-    (``prev`` its inverse); ``psi`` and ``iota`` are the parent's, which keep
-    every hyperedge, so every piece, whole.  The arrays are shared by all the
-    pieces of one map.  ``boxes`` holds the counted labels of each of the
-    piece's hyperedges, in order of least label, and ``const`` is
-    ``2c - e + sum_n`` of the piece; ``box_of`` gives the index of each
-    label's hyperedge among the piece's.
-    """
-
-    labels: Sequence[int]  # the piece's labels, ascending
-    tau: Sequence[int]
-    prev: Sequence[int]
-    psi: Sequence[int]
-    iota: Sequence[int]
-    boxes: list[list[int]]
-    box_of: Sequence[int]
-    halve: bool  # not orientable: f(A) is counted on every label, twice over
-    const: int
-    whole: Hypermap | None = None  # the parent, when it is its only piece
-
-    @property
-    def e(self) -> int:
-        return len(self.boxes)
-
-    def frontier(self) -> _Frontier:
-        return _Frontier(self.tau, self.prev, self.psi, self.boxes, self.box_of,
-                         self.halve, self.const)
-
-    def hypermap(self) -> Hypermap:
-        """The piece as a map of its own: the parent when it is whole, else
-        the labels renumbered densely in order and validated by
-        :meth:`Hypermap.from_flags`, which numbers the hyperedges in order of
-        least label as ``boxes`` does."""
-        if self.whole is not None:
-            return self.whole
-        pos = {x: k for k, x in enumerate(self.labels)}
-        return Hypermap.from_flags(*(
-            Permutation._of([pos[img[x]] for x in self.labels])
-            for img in (self.tau, self.psi, self.iota)))
-
-
-def _whole(h: Hypermap) -> _Piece:
-    """A map as its own only piece, from its cached counts and sides."""
-    halve, boxes = _counted_labels(h)
-    cb = h.counts()
-    return _Piece(range(h.n), h.tau.image, h.tau.inverse().image, h.psi.image,
-                  h.iota.image, boxes, h._hyperedge_of, halve,
-                  2 * cb.c - cb.e + cb.sum_n, h)
-
-
 # -- choosing the engine of a block ---------------------------------------------
 
 # Seconds per unit of each engine's cost model, fitted by tools/engine_costs.py
@@ -659,11 +628,11 @@ def _kernel_plan(piece: _Piece) -> _Plan:
     n = len(piece.labels)
     universe = n if piece.halve else n // 2  # one side of an orientable piece
     return _Plan("kernel", fixed + per * universe * 2.0**piece.e,
-                 lambda workers: _enumerate_formula(piece.hypermap(), workers))
+                 lambda workers: _enumerate_formula(piece, workers))
 
 
 def _frontier_plan(piece: _Piece) -> _Plan:
-    fr = piece.frontier()
+    fr = _Frontier(piece)
     ports, visits = fr.work()
     fixed, per_port, per_visit = _FRONTIER_S
     return _Plan("frontier", fixed + per_port * ports + per_visit * visits,
@@ -865,8 +834,8 @@ def _pieces(h: Hypermap, piece: list[int], count: int,
     makes ``tau_in`` a bijection, no ``tau_in`` cycle is its own mirror, each
     of the three keeps every label in its piece, and each piece is connected.
     One ``<tau_in, psi>`` side pass gives each piece's orientability and its
-    counting side, the orbit of its least label, as ``_counted_labels`` would
-    on the piece alone.  Each piece is connected, so its constant is
+    counting side, the orbit of its least label, as :func:`_whole` would on
+    the piece alone.  Each piece is connected, so its constant is
     ``2 - e + n/2``.
     """
     n = h.n
@@ -917,7 +886,7 @@ def _pieces(h: Hypermap, piece: list[int], count: int,
         box_of[x] = i
         if twisted[p] or side[x] == counted[p]:
             boxes[p][i].append(x)
-    return [_Piece(labels[p], tau_in, prev, psi, iota, boxes[p], box_of, twisted[p],
+    return [_Piece(labels[p], tau_in, prev, psi, boxes[p], box_of, twisted[p],
                    2 - len(boxes[p]) + len(labels[p]) // 2)
             for p in range(count)]
 

@@ -200,6 +200,20 @@ def test_subdivision_check_reports(fig7):
         assert check_subdivision(cycle_hypertree(3), e)["ok"]
 
 
+@pytest.mark.parametrize("name", ["e1_2", "e1_x"])
+def test_subdivision_check_reads_the_numbering_not_the_names(fig7, name):
+    # e2 named like a replacement of e1 is still one of the old hyperedges
+    names = list(fig7.hyperedge_names)
+    names[1] = name
+    g = Hypermap.from_flags(fig7.tau, fig7.psi, fig7.iota,
+                            hyperedge_sets=fig7.hyperedge_sets, hyperedge_names=names,
+                            vertex_sets=fig7.vertex_sets, vertex_names=fig7.vertex_names,
+                            label_names=fig7.label_names)
+    for e in range(g.e):
+        rep = check_subdivision(g, e)
+        assert rep["ok"] and rep["mass"] == 2 ** (g.e + 2), (e, rep)
+
+
 def test_subdivision_check_counts_each_spanning_sub_once(monkeypatch, fig7):
     real, counted = constructions.spanning_counts, []
     monkeypatch.setattr(constructions, "spanning_counts",

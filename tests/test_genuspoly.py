@@ -161,7 +161,7 @@ def test_paired_batches_match_direct(monkeypatch, fig7, torus):
     monkeypatch.setattr(gp, "_STEP_LABELS", 1)
     for h in (fig7, torus, ladder(5), cycle_hypertree(4)):
         direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
-        assert gp._enumerate_formula(h, 1) == direct
+        assert gp._enumerate_formula(gp._whole(h), 1) == direct
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,7 +174,7 @@ def test_formula_matches_direct_at_every_k(seed):
     for k in range(h.e):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gp, "_K", k)
-            assert gp._enumerate_formula(h, 1) == direct
+            assert gp._enumerate_formula(gp._whole(h), 1) == direct
 
 
 def test_worker_count_is_invisible():
@@ -251,9 +251,9 @@ def test_sharded_counts_match_single(monkeypatch):
     _, twisted = walsh_build(random_bipartite_spec(21, twisted=True))  # e=4
     assert twisted.e == 4 and not twisted.is_orientable()
     for h in (ladder(6), twisted):
-        single = gp._enumerate_formula(h, 1)
+        single = gp._enumerate_formula(gp._whole(h), 1)
         for workers in (2, 3, 5):
-            assert gp._enumerate_formula(h, workers) == single
+            assert gp._enumerate_formula(gp._whole(h), workers) == single
         assert single == euler_genus_polynomial(h, EngineConfig(engine="direct"))
 
 
@@ -328,7 +328,7 @@ def test_join_chains_formula_matches_direct(kinds, labels, shuffle):
     direct = euler_genus_polynomial(h, EngineConfig(engine="direct"))
     product = GenusPolynomial({0: 1})
     for piece in gp._join_blocks(h):
-        product = product.mul(euler_genus_polynomial(piece.hypermap(),
+        product = product.mul(euler_genus_polynomial(rebuilt(h, piece.labels),
                                                      EngineConfig(engine="direct")))
     assert product == direct
     res = enumerate_partial_duals(h)
@@ -339,9 +339,9 @@ def test_join_chains_formula_matches_direct(kinds, labels, shuffle):
 def assert_whole(h: Hypermap) -> None:
     """``h`` is its own only piece, counted on its own arrays and classes."""
     (piece,) = gp._join_blocks(h)
-    assert piece.hypermap() is h and list(piece.labels) == list(range(h.n))
+    assert list(piece.labels) == list(range(h.n))
     assert piece.tau is h.tau.image and piece.psi is h.psi.image
-    assert piece.boxes == gp._counted_labels(h)[1]
+    assert piece.box_of is h._hyperedge_of and piece.boxes == gp._whole(h).boxes
 
 
 def test_join_blocks_keep_unsplittable_maps_whole(fig7):
@@ -471,15 +471,19 @@ def test_piece_views_match_their_rebuild(seeds, labels, mask):
         assert len(pieces) >= len(seeds)
         for piece in pieces:
             alone = rebuilt(h, piece.labels)
-            assert piece.hypermap() == alone
+            pos = {x: k for k, x in enumerate(piece.labels)}
+            for img, g in ((piece.tau, alone.tau), (piece.psi, alone.psi)):
+                assert [pos[img[x]] for x in piece.labels] == list(g.image)
+            assert [sorted(pos[x] for x in box) for box in piece.boxes] == \
+                [sorted(box) for box in gp._whole(alone).boxes]
             assert (piece.e, len(piece.labels)) == (alone.e, alone.n)
             assert piece.halve == (not alone.is_orientable())
             cb = alone.counts()
             assert cb.c == 1 and piece.const == 2 - cb.e + cb.sum_n
             view, whole = gp._plan(piece), gp._plan(gp._whole(alone))
             assert (view.engine, view.seconds) == (whole.engine, whole.seconds)
-            assert piece.frontier().polynomial() == \
-                euler_genus_polynomial(alone, EngineConfig(engine="direct"))
+            direct = euler_genus_polynomial(alone, EngineConfig(engine="direct"))
+            assert each_engine(piece) == (direct, direct)
 
 
 def test_every_wrong_restriction_is_caught(monkeypatch):
@@ -544,23 +548,22 @@ def test_a_disconnected_piece_is_caught():
             gp._pieces(h, piece, len(ids), gp._restricted_tau(h, piece, cuts))
 
 
-def test_frontier_pieces_build_no_map(monkeypatch):
+def test_pieces_build_no_map_in_either_engine(monkeypatch):
     def rebuild(*args, **kwargs):
         raise AssertionError("a piece was rebuilt as a map")
 
     h = join_chain([ladder(7), cycle_hypertree(6), twisted_digon(), ladder(6)],
                    [(3, 5), (40, 0), (9, 17)])
     k = join_chain([ladder(3), cycle_hypertree(10)], [(0, 0)])
-    want = enumerate_partial_duals(h).polynomial
+    want = [enumerate_partial_duals(g).polynomial for g in (h, k)]
     monkeypatch.setattr(Hypermap, "from_flags", rebuild)
     res = enumerate_partial_duals(h)
-    assert res.polynomial == want and set(res.block_engines) == {"frontier"}
+    assert res.polynomial == want[0] and set(res.block_engines) == {"frontier"}
     assert sorted(res.blocks) == [1, 6, 6, 7]
-    # a kernel piece is built when, and only when, its plan runs
-    plans = [gp._plan(p) for p in gp._join_blocks(k)]
-    assert sorted(plan.engine for plan in plans) == ["frontier", "kernel"]
-    with pytest.raises(AssertionError, match="rebuilt"):
-        enumerate_partial_duals(k)
+    # the kernel counts its piece in place too
+    res = enumerate_partial_duals(k)
+    assert res.polynomial == want[1]
+    assert sorted(zip(res.blocks, res.block_engines)) == [(3, "frontier"), (10, "kernel")]
 
 
 # -- the frontier engine and the engine of each block ------------------------------
@@ -568,12 +571,12 @@ def test_frontier_pieces_build_no_map(monkeypatch):
 
 def frontier(h: Hypermap) -> "gp._Frontier":
     """The frontier engine on the whole of ``h``, unsplit."""
-    return gp._whole(h).frontier()
+    return gp._Frontier(gp._whole(h))
 
 
 def each_engine(piece: "gp._Piece") -> tuple[GenusPolynomial, GenusPolynomial]:
     """The polynomial of one piece by the kernel and by the frontier engine."""
-    return gp._enumerate_formula(piece.hypermap(), 1), piece.frontier().polynomial()
+    return gp._enumerate_formula(piece, 1), gp._Frontier(piece).polynomial()
 
 
 def two_pick_bar(data=None) -> Hypermap:
@@ -621,7 +624,7 @@ def test_frontier_matches_kernel_on_two_pick_bars(data):
     for block in gp._join_blocks(h):
         kernel, by_frontier = each_engine(block)
         assert by_frontier == kernel
-    assert frontier(h).polynomial() == gp._enumerate_formula(h, 1)
+    assert frontier(h).polynomial() == gp._enumerate_formula(gp._whole(h), 1)
 
 
 def test_frontier_matches_direct_on_a_two_pick_bar_and_the_examples(plane, torus, fig7):

@@ -22,6 +22,7 @@ AGREE = "engines agree and coefficients sum to 2^e"
 PAIRS = "composition by symmetric difference (all pairs)"
 CHI = "characteristic formula equals the constructed dual"
 EPS = "genus formula equals the constructed dual"
+ORIENTABLE = "orientable: even exponents, halved polynomial"
 
 
 def _entry(report: dict, name: str) -> dict:
@@ -52,7 +53,7 @@ def break_formula_engine(monkeypatch):
     """Make both engines the formula engine picks from per join block
     return 2^e z^0."""
     monkeypatch.setattr(gp, "_enumerate_formula",
-                        lambda h, workers: GenusPolynomial({0: 2**h.e}))
+                        lambda piece, workers: GenusPolynomial({0: 2**piece.e}))
     monkeypatch.setattr(gp._Frontier, "polynomial",
                         lambda self: GenusPolynomial({0: 2**len(self.boxes)}))
 
@@ -243,3 +244,23 @@ def test_direct_entry_matches_the_direct_engine_when_streaming(monkeypatch):
     h = twisted_chain(7)
     assert not h.is_orientable()
     _direct_entry_matches_the_oracle(monkeypatch, h)
+
+
+def test_an_odd_exponent_fails_the_orientable_entry(monkeypatch):
+    h = ladder(3)
+    real = gp._Frontier.polynomial
+
+    def moved(self):
+        # one subset moved from the least exponent to the odd one above it
+        c = real(self).coefficients
+        low = min(c)
+        c[low] -= 1
+        c[low + 1] = c.get(low + 1, 0) + 1
+        return GenusPolynomial(c)
+
+    assert gp._plan(gp._whole(h)).engine == "frontier" and h.is_orientable()
+    monkeypatch.setattr(gp._Frontier, "polynomial", moved)
+    report = verify_hypermap(h)
+    entry = _entry(report, ORIENTABLE)
+    assert not entry["ok"] and not report["ok"]
+    assert entry["detail"] == {"odd_exponents": [1]}
