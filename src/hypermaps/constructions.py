@@ -43,9 +43,8 @@ from .errors import (
 from .duality import (
     EdgeSubset,
     _dual_formulas,
-    eps_partial_dual_formula,
+    _spanning_table,
     psi_restricted,
-    spanning_counts,
 )
 from .genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
 from .model import Hypermap, _dedupe, _paired_classes
@@ -611,6 +610,20 @@ def check_join_polynomial(h1: Hypermap, c1: CornerRef,
     }
 
 
+def _corner_side_sum(h: Hypermap, corners: list[int]) -> dict[int, int]:
+    """One side's factor of the corner sum: ``eps(H^A) + 2 k(A^c)`` over the
+    hyperedge subsets ``A`` of ``h``, with ``k`` the number of spanning-sub
+    faces that the corner labels touch, as exponent -> count."""
+    span = _spanning_table(h).__getitem__
+    full = (1 << h.e) - 1
+    out: dict[int, int] = {}
+    for mask in range(full + 1):
+        x = (_dual_formulas(h, mask, span)[1]
+             + 2 * corner_face_count(h, EdgeSubset(mask ^ full, h.e), corners))
+        out[x] = out.get(x, 0) + 1
+    return out
+
+
 def check_amalgamation_theorem(h1: Hypermap, p1: AmalgamationPicks,
                                h2: Hypermap, p2: AmalgamationPicks) -> dict:
     """Enumerated polynomial of the bar-amalgamation versus the corner sum.
@@ -618,25 +631,19 @@ def check_amalgamation_theorem(h1: Hypermap, p1: AmalgamationPicks,
     The right-hand side runs over subsets of the non-connecting hyperedges
     and shifts each term by twice the number of extra corner faces, measured
     on the complementary spanning subs; the factor two accounts for the
-    connecting hyperedge being in or out of the subset.
+    connecting hyperedge being in or out of the subset.  A term's exponent
+    is a part of side 1 plus a part of side 2, so the sum is the product
+    ``2 z^-4 Q1(z) Q2(z)`` with ``Q_i(z) = sum_A z^(eps_i(A) + 2 k_i(A^c))``:
+    ``2^e1 + 2^e2`` terms instead of ``2^(e1 + e2)``.
     """
     amal = bar_amalgamation(h1, p1, h2, p2)
     lhs = euler_genus_polynomial(amal)
-    picks1 = _normalize_side(h1, p1.picks)
-    picks2 = _normalize_side(h2, p2.picks)
-    corners1 = [c.label for c in picks1]
-    corners2 = [c.label for c in picks2]
+    q1, q2 = (_corner_side_sum(h, [c.label for c in _normalize_side(h, p.picks)])
+              for h, p in ((h1, p1), (h2, p2)))
     acc: dict[int, int] = {}
-    e1, e2 = h1.e, h2.e
-    full1, full2 = (1 << e1) - 1, (1 << e2) - 1
-    for mask in range(1 << (e1 + e2)):
-        m1 = mask & full1
-        m2 = mask >> e1
-        k1 = corner_face_count(h1, EdgeSubset(m1 ^ full1, e1), corners1)
-        k2 = corner_face_count(h2, EdgeSubset(m2 ^ full2, e2), corners2)
-        eps = (eps_partial_dual_formula(h1, m1) + eps_partial_dual_formula(h2, m2)
-               + 2 * (k1 + k2 - 2))
-        acc[eps] = acc.get(eps, 0) + 2
+    for x1, n1 in q1.items():
+        for x2, n2 in q2.items():
+            acc[x1 + x2 - 4] = acc.get(x1 + x2 - 4, 0) + 2 * n1 * n2
     rhs = GenusPolynomial(acc)
     return {
         "identity": "bar-amalgamation polynomial matches the corner-face sum",
@@ -669,8 +676,8 @@ def check_subdivision(h: Hypermap, edge: int) -> dict:
     full_old = sum(1 << k for k in range(h.e) if k != edge)
     # one table of spanning counts per map: each is read by the formulas of
     # A and of A^c, and each old subset is the reference of several new ones
-    span_sub = [spanning_counts(sub, m) for m in range(1 << sub.e)].__getitem__
-    span_h = [spanning_counts(h, m) for m in range(1 << h.e)].__getitem__
+    span_sub = _spanning_table(sub).__getitem__
+    span_h = _spanning_table(h).__getitem__
     shifts_ok = True
     witness = None
     mass = 0

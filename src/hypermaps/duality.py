@@ -7,6 +7,12 @@ subset, composes by symmetric difference, and satisfies every identity of the
 underlying theory at exact permutation level; the cycle reversal (rather than
 keeping ``psi`` verbatim) is what makes the second application undo the first
 when a hyperedge has three or more incidences.
+
+The spanning-sub counts of a subset come from one pass over the image lists
+(:func:`_spanning_row`); a check that reads many subsets builds the table of
+all of them once (:func:`_spanning_table`).  The face count on
+``Permutation`` objects, :func:`spanning_face_count_restricted`, is kept as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import HypermapError, NotConnected, NotOrientable
-from .model import Hypermap, _component_keys, _orbit_sides
+from .model import Hypermap
 from .perm import Permutation
 
 __all__ = [
@@ -192,14 +198,58 @@ def spanning_counts(h: Hypermap, a) -> SpanningSubCounts:
     the partial dual equal ``f(A)`` exactly.  Components are taken over all
     vertices, isolated ones included.
     """
-    sub = _as_subset(h, a)
-    psi_a = psi_restricted(h, sub)
-    f = psi_a.then(h.tau).orbit_count() // 2
-    c = len(set(_component_keys(_orbit_sides(h.tau, psi_a), h.iota)))
-    e_a = len(sub)
-    sum_n = sum(len(h.hyperedge_sets[i]) for i in sub.edges()) // 2
+    return _spanning_row(h, _as_subset(h, a).mask)
+
+
+def _spanning_row(h: Hypermap, mask: int) -> SpanningSubCounts:
+    """:func:`spanning_counts` on the hyperedge bitmask ``mask``, in one pass
+    over the image lists.
+
+    ``face`` is ``psi_A then tau``: ``tau`` off A's labels, ``tau(psi(x))``
+    on them; its cycles are counted by walking each once.  The components
+    come from a union-find over the vertices, joining those that each of A's
+    hyperedges meets.
+    """
+    tau, psi, vertex_of = h.tau.image, h.psi.image, h._vertex_of
+    face = list(tau)
+    root = list(range(h.v))
+    c, e_a, sum_n = h.v, 0, 0
+    for k, labels in enumerate(h.hyperedge_sets):
+        if not mask >> k & 1:
+            continue
+        e_a += 1
+        sum_n += len(labels)
+        first = -1
+        for x in labels:
+            face[x] = tau[psi[x]]
+            u = vertex_of[x]
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            if first < 0:
+                first = u
+            elif u != first:
+                root[u] = first
+                c -= 1
+    f = 0
+    for start in range(len(face)):
+        x = face[start]
+        if x < 0:
+            continue
+        f += 1
+        face[start] = -1
+        while x != start:
+            face[x], x = -1, face[x]
+    f //= 2
+    sum_n //= 2
     chi = h.v + e_a + f - sum_n
     return SpanningSubCounts(c=c, f=f, chi=chi, eps=2 * c - chi, sum_n=sum_n, e=e_a)
+
+
+def _spanning_table(h: Hypermap) -> list[SpanningSubCounts]:
+    """The spanning-sub counts of every hyperedge bitmask, indexed by it:
+    the one table that the formulas of A and of A^c, and the identities of
+    each subset, all read."""
+    return [_spanning_row(h, mask) for mask in range(1 << h.e)]
 
 
 def spanning_face_count_restricted(h: Hypermap, a) -> int:

@@ -1,9 +1,12 @@
 """Join, bar-amalgamation, subdivision and pendant vertices."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypermaps.constructions as constructions
+import hypermaps.duality as duality
 from hypermaps.constructions import (
     AmalgamationPicks,
     CornerRef,
@@ -19,7 +22,7 @@ from hypermaps.constructions import (
     parse_corner,
     subdivide3,
 )
-from hypermaps.duality import EdgeSubset, partial_dual
+from hypermaps.duality import EdgeSubset, eps_partial_dual_formula, partial_dual
 from hypermaps.errors import (
     BadCorner,
     DuplicateVertexPick,
@@ -27,7 +30,7 @@ from hypermaps.errors import (
     HypermapError,
     SelfPairedOrbit,
 )
-from hypermaps.genuspoly import euler_genus_polynomial
+from hypermaps.genuspoly import GenusPolynomial, euler_genus_polynomial
 from hypermaps.generators import (
     cycle_hypertree,
     fig7_example,
@@ -42,7 +45,7 @@ from hypermaps.model import Hypermap, _dedupe
 from hypermaps.perm import Permutation
 from hypermaps.walsh import BipartiteEdge, BipartiteMapSpec, BipartiteVertex, walsh_build
 
-from conftest import spec_maps
+from conftest import random_bipartite_spec, spec_maps
 
 
 def corner(h, v):
@@ -152,6 +155,61 @@ def test_amalgamation_theorem_ladder4():
     assert rep["ok"]
 
 
+def corner_sum_over_all_subsets(h1, p1, h2, p2) -> dict:
+    """``check_amalgamation_theorem`` with one corner-sum term per subset of
+    the two sides' hyperedges together, 2^(e1 + e2) of them."""
+    lhs = euler_genus_polynomial(bar_amalgamation(h1, p1, h2, p2))
+    corners1 = [c.label for c in constructions._normalize_side(h1, p1.picks)]
+    corners2 = [c.label for c in constructions._normalize_side(h2, p2.picks)]
+    acc: dict[int, int] = {}
+    e1, e2 = h1.e, h2.e
+    full1, full2 = (1 << e1) - 1, (1 << e2) - 1
+    for mask in range(1 << (e1 + e2)):
+        m1, m2 = mask & full1, mask >> e1
+        k1 = corner_face_count(h1, EdgeSubset(m1 ^ full1, e1), corners1)
+        k2 = corner_face_count(h2, EdgeSubset(m2 ^ full2, e2), corners2)
+        eps = (eps_partial_dual_formula(h1, m1) + eps_partial_dual_formula(h2, m2)
+               + 2 * (k1 + k2 - 2))
+        acc[eps] = acc.get(eps, 0) + 2
+    rhs = GenusPolynomial(acc)
+    return {
+        "identity": "bar-amalgamation polynomial matches the corner-face sum",
+        "ok": lhs == rhs,
+        "enumerated": lhs.as_json_dict(),
+        "corner_sum": rhs.as_json_dict(),
+    }
+
+
+def random_picks(h, rng) -> AmalgamationPicks:
+    """Corners at distinct vertices, in a random order, at random labels."""
+    vertices = rng.sample(range(h.v), rng.randint(1, h.v))
+    return AmalgamationPicks(tuple(CornerRef(v, rng.choice(sorted(h.vertex_sets[v])))
+                                   for v in vertices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans())
+def test_corner_sum_product_matches_the_sum_over_all_subsets(seed1, seed2, twisted):
+    rng = random.Random(seed1 ^ seed2)
+    h1 = walsh_build(random_bipartite_spec(seed1, twisted=twisted))[1]
+    h2 = walsh_build(random_bipartite_spec(seed2, twisted=True))[1]
+    assert h1.e + h2.e <= 8
+    p1, p2 = random_picks(h1, rng), random_picks(h2, rng)
+    assert (check_amalgamation_theorem(h1, p1, h2, p2)
+            == corner_sum_over_all_subsets(h1, p1, h2, p2))
+
+
+def test_corner_sum_product_keeps_a_failing_verdict():
+    # three picks on the ladder, not in face-boundary order
+    h, s2 = ladder(3), star(2)
+    p1 = AmalgamationPicks(tuple(CornerRef(v, x) for v, x in ((0, 1), (1, 2), (2, 8))))
+    p2 = AmalgamationPicks((corner(s2, 0),))
+    rep = check_amalgamation_theorem(h, p1, s2, p2)
+    assert rep == corner_sum_over_all_subsets(h, p1, s2, p2)
+    assert not rep["ok"]
+    assert rep["corner_sum"] == {"2": 8, "4": 16, "6": 8}
+
+
 def test_corner_face_count_trivial(fig7):
     labels = [min(fig7.vertex_sets[0]), min(fig7.vertex_sets[1]),
               min(fig7.vertex_sets[2])]
@@ -215,8 +273,8 @@ def test_subdivision_check_reads_the_numbering_not_the_names(fig7, name):
 
 
 def test_subdivision_check_counts_each_spanning_sub_once(monkeypatch, fig7):
-    real, counted = constructions.spanning_counts, []
-    monkeypatch.setattr(constructions, "spanning_counts",
+    real, counted = duality._spanning_row, []
+    monkeypatch.setattr(duality, "_spanning_row",
                         lambda h, mask: counted.append((h.e, mask)) or real(h, mask))
     assert check_subdivision(fig7, 0)["ok"]
     e = fig7.e

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypermaps.duality import (
     EdgeSubset,
+    SpanningSubCounts,
     _dual_flags,
     _flags,
+    _spanning_table,
     check_properties,
     chi_partial_dual_formula,
     dual,
@@ -19,7 +21,7 @@ from hypermaps.duality import (
 )
 from hypermaps.errors import HypermapError, NotConnected
 from hypermaps.generators import ladder, star
-from hypermaps.model import disjoint_union
+from hypermaps.model import _component_keys, _orbit_sides, disjoint_union
 from hypermaps.perm import Permutation, format_cycles, parse_cycles
 
 from conftest import incidence_components, spec_maps
@@ -160,6 +162,42 @@ def test_spanning_components_match_incidence_bfs(h):
     for mask in range(min(1 << h.e, 64)):
         sub = EdgeSubset(mask, h.e)
         assert spanning_counts(h, sub).c == incidence_components(h, sub.edges())
+
+
+def permutation_spanning_counts(h, mask: int) -> SpanningSubCounts:
+    """The spanning-sub counts on ``Permutation`` objects: the orbits of
+    ``psi_A then tau`` for f, the ``<tau, psi_A>`` orbits paired by ``iota``
+    for c."""
+    psi_a = psi_restricted(h, mask)
+    f = psi_a.then(h.tau).orbit_count() // 2
+    c = len(set(_component_keys(_orbit_sides(h.tau, psi_a), h.iota)))
+    edges = EdgeSubset(mask, h.e).edges()
+    sum_n = sum(len(h.hyperedge_sets[i]) for i in edges) // 2
+    chi = h.v + len(edges) + f - sum_n
+    return SpanningSubCounts(c=c, f=f, chi=chi, eps=2 * c - chi, sum_n=sum_n, e=len(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=spec_maps, data=st.data())
+def test_spanning_table_matches_the_permutation_counts(h, data):
+    dual_mask = data.draw(st.integers(0, (1 << h.e) - 1))
+    for g in (h, partial_dual(h, dual_mask)):
+        table = _spanning_table(g)
+        assert table == [permutation_spanning_counts(g, m) for m in range(1 << g.e)]
+        assert [spanning_counts(g, m) for m in range(1 << g.e)] == table
+        # the empty subset leaves every vertex isolated, each a component
+        assert table[0].c == g.v and table[0].f == g.v
+
+
+def test_spanning_table_covers_isolated_vertices_and_split_subs():
+    h = ladder(4)
+    rows = list(enumerate(_spanning_table(h)))
+
+    def isolated(mask: int) -> int:
+        return h.v - len({h.vertex_of(x) for x in EdgeSubset(mask, h.e).labels(h)})
+
+    assert any(row.e and row.c > 1 and isolated(m) for m, row in rows)
+    assert all(row == permutation_spanning_counts(h, m) for m, row in rows)
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,7 +7,7 @@ import hypermaps.duality as duality
 import hypermaps.genuspoly as gp
 import hypermaps.verify as verify
 from hypermaps.constructions import CornerRef, join
-from hypermaps.duality import EdgeSubset
+from hypermaps.duality import EdgeSubset, partial_dual
 from hypermaps.errors import NotConnected
 from hypermaps.generators import ladder, plane_example
 from hypermaps.genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
@@ -23,6 +23,8 @@ PAIRS = "composition by symmetric difference (all pairs)"
 CHI = "characteristic formula equals the constructed dual"
 EPS = "genus formula equals the constructed dual"
 ORIENTABLE = "orientable: even exponents, halved polynomial"
+EVEN = "all coefficients even"
+INVARIANT = "polynomial invariant under partial duals"
 
 
 def _entry(report: dict, name: str) -> dict:
@@ -99,12 +101,10 @@ def test_each_failing_entry_names_its_own_mask(monkeypatch, fig7):
 
 
 def test_each_spanning_sub_is_counted_once(monkeypatch, fig7):
-    real, masks = duality.spanning_counts, []
-    for module in (duality, verify):
-        monkeypatch.setattr(module, "spanning_counts",
-                            lambda h, mask: masks.append(mask) or real(h, mask))
+    rows = count_calls(monkeypatch, duality, "_spanning_row")
     assert verify_hypermap(fig7)["ok"]
-    assert masks == list(range(1 << fig7.e))
+    assert [mask for _, mask in rows] == list(range(1 << fig7.e))
+    assert all(g is fig7 for g, _ in rows)
 
 
 @settings(max_examples=25, deadline=None)
@@ -170,15 +170,46 @@ def test_check_refuses_a_disconnected_map_before_any_subset(monkeypatch):
 
     for module in (verify, duality):
         monkeypatch.setattr(module, "partial_dual", started)
-        monkeypatch.setattr(module, "spanning_counts", started)
+        monkeypatch.setattr(module, "_spanning_table", started)
+    monkeypatch.setattr(duality, "_spanning_row", started)
+    monkeypatch.setattr(verify, "_Frontier", started)
     with pytest.raises(NotConnected, match="^the partial-dual formulas need a connected hypermap$"):
         verify_hypermap(two)
 
 
 def test_the_empty_map_has_one_subset():
     empty = Hypermap.from_flags(*(Permutation([]),) * 3)
-    entry = _entry(verify_hypermap(empty), AGREE)
+    report = verify_hypermap(empty)
+    entry = _entry(report, AGREE)
     assert entry["ok"] and entry["detail"] == {"polynomial": {"0": 1}}
+    # the one subset is its own complement: the even entry needs e >= 1
+    assert report["ok"] and "detail" not in _entry(report, EVEN)
+
+
+def test_an_odd_coefficient_names_its_exponents(monkeypatch, fig7):
+    real = verify.euler_genus_polynomial
+    # one subset of fig7's {2: 2, 4: 2, 6: 12} moved from z^2 to z^3
+    monkeypatch.setattr(verify, "euler_genus_polynomial", lambda h, cfg=None: (
+        GenusPolynomial({2: 1, 3: 1, 4: 2, 6: 12}) if h is fig7 else real(h, cfg)))
+    report = verify_hypermap(fig7)
+    entry = _entry(report, EVEN)
+    assert not entry["ok"] and not report["ok"]
+    assert entry["detail"] == {"odd_coefficient_exponents": [2, 3]}
+
+
+def test_a_dual_with_another_polynomial_fails_the_invariance_entry(monkeypatch, fig7):
+    assert _entry(verify_hypermap(fig7), INVARIANT)["ok"]
+    wrong = [partial_dual(fig7, 5), partial_dual(fig7, 9)]
+    real = verify._whole
+    # the whole-map count of the duals on masks 5 and 9 moves up by 2
+    monkeypatch.setattr(verify, "_whole", lambda g: (
+        real(g)._replace(const=real(g).const + 2) if g in wrong else real(g)))
+    report = verify_hypermap(fig7)
+    entry = _entry(report, INVARIANT)
+    assert not entry["ok"] and not report["ok"]
+    assert entry["detail"] == {"mask": 5}
+    # the factored count behind the polynomial is not the one moved
+    assert _entry(report, AGREE)["ok"]
 
 
 def test_table_path_builds_each_dual_once_and_composes_each_pair_once(monkeypatch, fig7):
