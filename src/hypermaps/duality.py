@@ -296,11 +296,13 @@ def gamma_partial_dual_formula(h: Hypermap, a) -> int:
     if not h.is_orientable():
         raise NotOrientable("orientable-genus formula on a non-orientable hypermap")
     sub = _as_subset(h, a)
+    comp = sub.complement()
     sa = spanning_counts(h, sub)
-    sc = spanning_counts(h, sub.complement())
+    sc = spanning_counts(h, comp)
     c_h = h.component_count()
     gamma = (sa.eps // 2) + (sc.eps // 2) + c_h - sa.c - sc.c + h.v
-    eps = eps_partial_dual_formula(h, sub)
+    # the eps formula reads the same two spanning subs
+    eps = _dual_formulas(h, sub.mask, {sub.mask: sa, comp.mask: sc}.__getitem__)[1]
     if eps != 2 * gamma:
         raise HypermapError(f"gamma formula inconsistent with eps: {gamma} vs {eps}")
     return gamma

@@ -11,15 +11,18 @@ survive:
 
 Before counting, the formula engine factors the map along its joins.  The
 polynomial of a join is the product of the polynomials of its two parts, so
-the map is split at its separating vertices: cut vertices of the
-vertex-hyperedge incidence graph at which a biconnected block holds one
-contiguous arc of the vertex's cycle, which is what a join splices in.
-Blocks that meet at a hyperedge, or whose labels cross in a vertex's cycle,
-stay in one piece.  The piece polynomials are multiplied, so ``2**e``
-subsets become ``sum 2**e_i``.  A map with no separating vertex, such as
-the hyper-ladder, costs one depth-first search and is counted whole, on its
-own arrays and cached sides; otherwise only the vertex cycles at separating
-vertices are scanned.  ``direct`` never factors.
+the map is split at its separating vertices, the cut vertices of the
+vertex-hyperedge incidence graph.  Each kind of node has one merge rule: the
+depth-first search closes a block only at a vertex, so blocks that meet at a
+hyperedge come out as one, and one pass over each separating vertex's cycle
+merges the blocks whose labels cross there.  A merge only joins blocks that
+share a node, so it never joins two blocks at another vertex (the block-cut
+tree has no cycle), and one pass per vertex is enough.  The groups left at a
+vertex cross nowhere, so one of them holds a contiguous arc of its cycle,
+which is what a join splices in.  The piece polynomials are multiplied, so
+``2**e`` subsets become ``sum 2**e_i``.  A map with no separating vertex,
+such as the hyper-ladder, costs one depth-first search and is counted whole,
+on its own arrays and cached sides.  ``direct`` never factors.
 
 A piece is a group of labels of the map itself, not a map of its own
 (:class:`_Piece`).  ``tau`` restricted to each label's piece is one array
@@ -649,16 +652,19 @@ def _plan(piece: _Piece) -> _Plan:
 
 
 def _incidence_blocks(h: Hypermap) -> tuple[list[int], int, list[int]]:
-    """The biconnected block of every label, the number of blocks, and the
-    separating vertices.
+    """The block of every label, the number of blocks, and the separating
+    vertices.
 
     The graph is the vertex-hyperedge incidence multigraph of a connected
     hypermap with one edge per label: node ``i < h.v`` is vertex ``i``, node
     ``h.v + j`` is hyperedge ``j``.  Tarjan's edge-stack algorithm runs on an
     explicit stack of (node, tree-edge label, unvisited incident labels), so
-    deep maps cannot overflow the recursion limit.  A vertex separates when
-    a block closes at it: one block for any vertex but the DFS root, vertex
-    0, and two for the root.
+    deep maps cannot overflow the recursion limit.  A block is closed only at
+    a vertex: the edges below a hyperedge node stay on the edge stack and
+    leave with the block above it, so the biconnected blocks that meet at a
+    hyperedge come out as one block.  A vertex separates when a block closes
+    at it: one block for any vertex but the DFS root, vertex 0, and two for
+    the root.
     """
     nv = h.v
     vertex_node = h._vertex_of
@@ -693,70 +699,57 @@ def _incidence_blocks(h: Hypermap) -> tuple[list[int], int, list[int]]:
                 p = stack[-1][0]
                 if low[u] < low[p]:
                     low[p] = low[u]
-                if low[u] >= disc[p]:  # p separates u's subtree: close a block
+                if p < nv and low[u] >= disc[p]:  # vertex p separates u's subtree
                     while True:
                         y = edges.pop()
                         block[y] = count
                         if y == up:
                             break
                     count += 1
-                    if p < nv:
-                        closed[p] += 1
+                    closed[p] += 1
     return block, count, [i for i, k in enumerate(closed) if k > (i == 0)]
 
 
-def _interleaved(colours: list[int]) -> list[int]:
-    """The colours of a cyclic word that cannot be split off as arcs.
+def _find(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
 
-    Any colour that forms one contiguous cyclic arc is removed, which may
-    join its neighbours into one arc, until no colour can be removed.  The
-    colours left over (none, or at least two) each cross another, as in
-    ``A B A B``.  Linear in the length, on a linked list of runs.
-    """
-    runs = [c for i, c in enumerate(colours) if c != colours[i - 1]]
-    r = len(runs)  # 0 when there is only one colour
-    nxt = list(range(1, r)) + [0]
-    prv = [r - 1] + list(range(r - 1))
-    count: dict[int, int] = {}
-    where: dict[int, int] = {}  # the only run of a colour that has one
-    for i, c in enumerate(runs):
-        count[c] = count.get(c, 0) + 1
-        where[c] = i
-    todo = [c for c, k in count.items() if k == 1]
-    left = r
-    while todo and left > 1:
-        c = todo.pop()
-        i = where.pop(c)
-        del count[c]
-        pv, nx = prv[i], nxt[i]
-        nxt[pv], prv[nx] = nx, pv
-        left -= 1
-        if pv != nx and runs[pv] == runs[nx]:  # the neighbours become one run
-            d = runs[pv]
-            nxt[pv] = nxt[nx]
-            prv[nxt[nx]] = pv
-            left -= 1
-            count[d] -= 1
-            where[d] = pv
-            if count[d] == 1:
-                todo.append(d)
-    return list(count) if left > 1 else []
+
+def _merge_crossings(parent: list[int], word: list[int]) -> None:
+    """Merge the groups of a cyclic word of union-find roots by the
+    components of the graph of groups that cross.  On the word cut open, a
+    group seen again crosses each group opened after its own and not yet
+    closed; those join its group."""
+    end = {g: k for k, g in enumerate(word)}
+    start = {g: k for k, g in reversed(list(enumerate(word)))}
+    stack: list[int] = []
+    for k, c in enumerate(word):
+        if start[c] == k:
+            stack.append(c)
+        g = _find(parent, c)
+        while stack[-1] != g:
+            t = stack.pop()
+            parent[t] = g
+            end[g] = max(end[g], end[t])
+        if end[g] == k:
+            stack.pop()
 
 
 def _join_blocks(h: Hypermap) -> list[_Piece]:
     """The pieces of a connected hypermap, split at its separating vertices.
 
-    Biconnected blocks of the incidence multigraph are merged when they meet
-    at a hyperedge (a bar, not a join), and at a vertex by the components of
-    the graph of blocks whose labels cross in the vertex's cycle (only those
-    :func:`_interleaved` leaves can cross).  Every other block meeting at a
-    vertex holds one contiguous arc of its cycle, which is exactly what
-    :func:`~hypermaps.constructions.join` splices in, so the map is a chain of
-    joins of the pieces and its polynomial is their product.  Pieces come in
-    order of least label, as label groups of ``h`` (:func:`_pieces`).
-    Returns the whole map as its only piece when nothing splits, without a
-    union when no vertex separates: the blocks then meet only at hyperedges,
-    so the hyperedge unions would merge them all.
+    Blocks that meet at a hyperedge (a bar, not a join) come out of
+    :func:`_incidence_blocks` as one, and at each separating vertex
+    :func:`_merge_crossings` merges the blocks whose labels cross in its
+    cycle.  Each merge joins blocks that share a node, so it never joins two
+    blocks at another vertex (the block-cut tree has no cycle), and one pass
+    per vertex, in any order, is enough.  The groups left at a vertex cross
+    nowhere, so one of them holds a contiguous arc of its cycle, which is
+    what :func:`~hypermaps.constructions.join` splices in: the map is a chain
+    of joins of the pieces and its polynomial is their product.  Pieces come
+    in order of least label, as label groups of ``h`` (:func:`_pieces`); the
+    whole map is its only piece when nothing splits.
     """
     if h.n == 0:
         return [_whole(h)]
@@ -764,42 +757,10 @@ def _join_blocks(h: Hypermap) -> list[_Piece]:
     if not cuts:
         return [_whole(h)]
     parent = list(range(count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
-    def union(group) -> None:
-        roots = [find(b) for b in group]
-        for b in roots:
-            parent[b] = roots[0]
-
-    for s in h.hyperedge_sets:
-        union({block[x] for x in s})
     for i in cuts:  # any other vertex lies in one block
-        cycle = [block[x] for x in h.vertex_cycle(i)]
-        if not (left := set(_interleaved(cycle))):
-            continue
-        # Merge the colours left by the components of their crossing graph.
-        # On the cycle cut open, a colour seen again crosses each group
-        # opened after its own and not yet closed; those join its group.
-        word = [find(b) for b in cycle if b in left]
-        end = {g: k for k, g in enumerate(word)}
-        start = {g: k for k, g in reversed(list(enumerate(word)))}
-        stack: list[int] = []
-        for k, c in enumerate(word):
-            if start[c] == k:
-                stack.append(c)
-            g = find(c)
-            while stack[-1] != g:
-                t = stack.pop()
-                union((g, t))
-                end[g] = max(end[g], end[t])
-            if end[g] == k:
-                stack.pop()
+        _merge_crossings(parent, [_find(parent, block[x]) for x in h.vertex_cycle(i)])
     # pieces numbered densely in order of least label
-    root = [find(b) for b in range(count)]
+    root = [_find(parent, b) for b in range(count)]
     ids: dict[int, int] = {}
     piece = [ids.setdefault(root[b], len(ids)) for b in block]
     if len(ids) == 1:

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypermaps.duality as duality
+
 from hypermaps.duality import (
     EdgeSubset,
     SpanningSubCounts,
@@ -121,6 +123,18 @@ def test_gamma_formula_sums_to_subset_count(fig7):
     assert total == 16
     for mask in range(16):
         assert 2 * gamma_partial_dual_formula(fig7, mask) == eps_partial_dual_formula(fig7, mask)
+
+
+def test_gamma_formula_counts_each_spanning_sub_once(monkeypatch, fig7):
+    real, masks = duality._spanning_row, []
+    monkeypatch.setattr(duality, "_spanning_row",
+                        lambda h, mask: masks.append(mask) or real(h, mask))
+    assert 2 * gamma_partial_dual_formula(fig7, 3) == partial_dual(fig7, 3).counts().eps
+    assert masks == [3, 12]  # A and A^c, read by both formulas
+    # the eps formula is still checked against the gamma formula
+    monkeypatch.setattr(duality, "_dual_formulas", lambda h, mask, span: (0, 1))
+    with pytest.raises(HypermapError, match="inconsistent"):
+        gamma_partial_dual_formula(fig7, 3)
 
 
 def test_complement_symmetry_and_face_vertex_swap(fig7, torus):

@@ -360,10 +360,12 @@ def test_join_blocks_keep_unsplittable_maps_whole(fig7):
 
 
 def test_maps_without_a_separating_vertex_skip_the_vertex_pass(monkeypatch):
-    def vertex_pass(colours):
+    maps = [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]
+
+    def vertex_pass(h, i):
         raise AssertionError("a vertex cycle was scanned")
-    monkeypatch.setattr(gp, "_interleaved", vertex_pass)
-    for h in [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]:
+    monkeypatch.setattr(Hypermap, "vertex_cycle", vertex_pass)
+    for h in maps:
         assert gp._incidence_blocks(h)[2] == []
         assert_whole(h)
 
@@ -383,18 +385,27 @@ def test_crossing_vertex_is_not_a_join():
     # split into its two hyperedges, the map would get 2 * 2 = 4 at z^0
     for twists, want in (((1, 1, 1, 1), {0: 2, 2: 2}), ((1, -1, 1, 1), {1: 2, 2: 2})):
         h = crossing_vertex(twists)
-        assert gp._interleaved([h.hyperedge_of(x) for x in h.vertex_cycle(0)]) == [0, 1]
         assert euler_genus_polynomial(h) == GenusPolynomial(want)
         assert euler_genus_polynomial(h, EngineConfig(engine="direct")) == GenusPolynomial(want)
 
 
-def test_interleaved_removes_arcs_until_only_crossings_are_left():
-    assert gp._interleaved([0, 0, 0]) == []
-    assert gp._interleaved([0, 1, 1, 2, 0]) == []  # arcs, and 0 wraps around
-    assert gp._interleaved([0, 1, 0, 2, 0, 1]) == [0, 1]  # 2 goes, 0 1 0 1 stays
-    assert gp._interleaved([0, 1, 2, 1, 0, 3, 0]) == []  # nested arcs
-    # all four stay together, though {0, 1} and {2, 3} do not cross
-    assert sorted(gp._interleaved([0, 1, 0, 1, 2, 3, 2, 3])) == [0, 1, 2, 3]
+def crossing_groups(word: list[int]) -> list[list[int]]:
+    """The groups that the vertex pass makes of a cyclic word of blocks."""
+    parent = list(range(max(word) + 1))
+    gp._merge_crossings(parent, word)
+    groups: dict[int, list[int]] = {}
+    for c in sorted(set(word)):
+        groups.setdefault(gp._find(parent, c), []).append(c)
+    return sorted(groups.values())
+
+
+def test_vertex_pass_merges_only_blocks_that_cross():
+    assert crossing_groups([0, 0, 0]) == [[0]]
+    assert crossing_groups([0, 1, 1, 2, 0]) == [[0], [1], [2]]  # arcs; 0 wraps around
+    assert crossing_groups([0, 1, 0, 2, 0, 1]) == [[0, 1], [2]]  # 0 1 0 1, and an arc
+    assert crossing_groups([0, 1, 2, 1, 0, 3, 0]) == [[0], [1], [2], [3]]  # nested arcs
+    # two crossing pairs that do not cross each other
+    assert crossing_groups([0, 1, 0, 1, 2, 3, 2, 3]) == [[0, 1], [2, 3]]
 
 
 @pytest.mark.parametrize("x", range(8))
@@ -404,7 +415,6 @@ def test_crossing_pieces_joined_at_their_crossing_vertex_split(x):
     twisted = (1, -1, 1, 1)
     h = join_chain([crossing_vertex(), crossing_vertex(twisted)], [(x, 3)])
     assert h.v == 1
-    assert sorted(gp._interleaved([h.hyperedge_of(y) for y in h.vertex_cycle(0)])) == [0, 1, 2, 3]
     assert sorted(p.e for p in gp._join_blocks(h)) == [2, 2]
     want = euler_genus_polynomial(crossing_vertex()).mul(
         euler_genus_polynomial(crossing_vertex(twisted)))
@@ -444,6 +454,143 @@ def test_edge_cap_bounds_each_join_block():
             enumerate_partial_duals(h, EngineConfig(engine=engine, edge_cap=16))
     with pytest.raises(EdgeCapExceeded):
         enumerate_partial_duals(h, EngineConfig(edge_cap=11))
+
+
+# -- the pieces against the arc-removal algorithm the vertex pass replaced ----------
+
+
+def _root(parent: list[int], a: int) -> int:
+    while parent[a] != a:
+        a = parent[a]
+    return a
+
+
+def biconnected_blocks(h: Hypermap) -> list[int]:
+    """The biconnected block of every label of the incidence multigraph, by
+    definition: two labels at one node are in one block when their other
+    ends are joined without that node.  Blocks are named by a label."""
+    ends = [(h.vertex_of(x), h.v + h.hyperedge_of(x)) for x in range(h.n)]
+    same = list(range(h.n))
+    for u in range(h.v + h.e):
+        joined = list(range(h.v + h.e))  # components of the graph without u
+        for a, b in ends:
+            if u not in (a, b):
+                joined[_root(joined, a)] = _root(joined, b)
+        seen: dict[int, int] = {}
+        for x, (a, b) in enumerate(ends):
+            if u in (a, b):
+                other = _root(joined, b if a == u else a)
+                same[_root(same, x)] = _root(same, seen.setdefault(other, x))
+    return [_root(same, x) for x in range(h.n)]
+
+
+def _interleaved(colours: list[int]) -> list[int]:
+    """The colours of a cyclic word left once every colour that forms one
+    contiguous arc is removed, repeatedly, on a linked list of runs."""
+    runs = [c for i, c in enumerate(colours) if c != colours[i - 1]]
+    r = len(runs)
+    nxt = list(range(1, r)) + [0]
+    prv = [r - 1] + list(range(r - 1))
+    count: dict[int, int] = {}
+    where: dict[int, int] = {}
+    for i, c in enumerate(runs):
+        count[c] = count.get(c, 0) + 1
+        where[c] = i
+    todo = [c for c, k in count.items() if k == 1]
+    left = r
+    while todo and left > 1:
+        c = todo.pop()
+        i = where.pop(c)
+        del count[c]
+        pv, nx = prv[i], nxt[i]
+        nxt[pv], prv[nx] = nx, pv
+        left -= 1
+        if pv != nx and runs[pv] == runs[nx]:
+            d = runs[pv]
+            nxt[pv] = nxt[nx]
+            prv[nxt[nx]] = pv
+            left -= 1
+            count[d] -= 1
+            where[d] = pv
+            if count[d] == 1:
+                todo.append(d)
+    return list(count) if left > 1 else []
+
+
+def pieces_by_arc_removal(h: Hypermap) -> set[frozenset[int]]:
+    """The labels of each join piece by the three merge passes the vertex
+    pass replaced: biconnected blocks, a union of the blocks at every
+    hyperedge, and at every vertex the crossing merge run only on the
+    blocks that :func:`_interleaved` leaves."""
+    block = biconnected_blocks(h)
+    parent = list(range(h.n))
+
+    def union(g: int, t: int) -> None:
+        parent[_root(parent, t)] = _root(parent, g)
+
+    for s in h.hyperedge_sets:
+        for x in s:
+            union(block[min(s)], block[x])
+    for i in range(h.v):
+        cycle = [block[x] for x in h.vertex_cycle(i)]
+        left = set(_interleaved(cycle))
+        word = [_root(parent, b) for b in cycle if b in left]
+        end = {g: k for k, g in enumerate(word)}
+        start = {g: k for k, g in reversed(list(enumerate(word)))}
+        stack: list[int] = []
+        for k, c in enumerate(word):
+            if start[c] == k:
+                stack.append(c)
+            g = _root(parent, c)
+            while stack[-1] != g:
+                t = stack.pop()
+                union(g, t)
+                end[g] = max(end[g], end[t])
+            if end[g] == k:
+                stack.pop()
+    groups: dict[int, set[int]] = {}
+    for x in range(h.n):
+        groups.setdefault(_root(parent, block[x]), set()).add(x)
+    return set(map(frozenset, groups.values()))
+
+
+def test_the_oracle_keeps_a_bar_and_splits_a_join():
+    # a bar's hyperedge is a cut node of the incidence graph, but no vertex is
+    h = two_pick_bar()
+    assert len(set(biconnected_blocks(h))) > 1
+    assert pieces_by_arc_removal(h) == {frozenset(range(h.n))}
+    h = join_chain([crossing_vertex(), crossing_vertex((1, -1, 1, 1))], [(0, 3)])
+    assert sorted(map(len, pieces_by_arc_removal(h))) == [8, 8]
+
+
+@st.composite
+def bars_and_joins(draw) -> Hypermap:
+    """A chain of joins and single-pick bars of bundled and twisted random
+    maps, at drawn corners, rooted at a drawn vertex, or a partial dual of
+    it."""
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["spec", "cross", "cross",
+                                                     *FAMILY_PIECES]),
+                                    st.integers(0, 10**6)), min_size=1, max_size=4))
+    parts = [crossing_vertex(random.Random(seed).choice([(1, 1, 1, 1), (1, -1, 1, 1)]))
+             if kind == "cross" else _piece(kind, seed) for kind, seed in kinds]
+    h = parts[0]
+    for part in parts[1:]:
+        x, y = draw(st.integers(0, h.n - 1)), draw(st.integers(0, part.n - 1))
+        a, b = CornerRef(h.vertex_of(x), x), CornerRef(part.vertex_of(y), y)
+        if draw(st.booleans()):
+            h = join(h, a, part, b)
+        else:
+            h = bar_amalgamation(h, AmalgamationPicks((a,)), part, AmalgamationPicks((b,)))
+    if draw(st.booleans()):
+        h = partial_dual(h, draw(st.integers(0, (1 << h.e) - 1)))
+    return rooted_at(h, draw(st.integers(0, h.v - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=bars_and_joins())
+def test_pieces_match_the_arc_removal_algorithm(h):
+    assert h.is_connected()
+    assert {frozenset(p.labels) for p in gp._join_blocks(h)} == pieces_by_arc_removal(h)
 
 
 # -- join pieces as label groups of the parent map --------------------------------
