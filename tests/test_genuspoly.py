@@ -360,12 +360,10 @@ def test_join_blocks_keep_unsplittable_maps_whole(fig7):
 
 
 def test_maps_without_a_separating_vertex_skip_the_vertex_pass(monkeypatch):
-    maps = [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]
-
     def vertex_pass(h, i):
         raise AssertionError("a vertex cycle was scanned")
     monkeypatch.setattr(Hypermap, "vertex_cycle", vertex_pass)
-    for h in maps:
+    for h in [ladder(n) for n in range(1, 31)] + [cycle_hypertree(n) for n in range(3, 21)]:
         assert gp._incidence_blocks(h)[2] == []
         assert_whole(h)
 
