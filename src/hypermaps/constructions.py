@@ -4,9 +4,9 @@ Each construction edits the flag arrays of its input: the image lists of
 ``tau``, ``psi`` and ``iota``, the second input's labels shifted past the
 first's and fresh label pairs put in front as fixed points.  An insertion
 splices one cycle into another by two transpositions of images; subdivision
-then drops the old hyperedge's six labels.  A corner is addressed by one
-label; an insertion lands just before it in its cycle, the mirrored one just
-after its ``iota`` partner.
+then cuts the old hyperedge's six labels out by splices and renumbers.  A
+corner is addressed by one label; an insertion lands just before it in its
+cycle, the mirrored one just after its ``iota`` partner.
 
 The result is built from its validated inputs, not re-validated whole.  The
 inputs' classes, names and class tables are carried over, moved to the new
@@ -38,7 +38,6 @@ from .errors import (
     EdgeDegreeUnsupported,
     HypermapError,
     MissingLabel,
-    SelfPairedOrbit,
 )
 from .duality import (
     EdgeSubset,
@@ -47,7 +46,7 @@ from .duality import (
     psi_restricted,
 )
 from .genuspoly import EngineConfig, GenusPolynomial, euler_genus_polynomial
-from .model import Hypermap, _dedupe, _paired_classes
+from .model import Hypermap, _dedupe, _mirror_check, _paired_classes
 from .perm import Permutation
 
 __all__ = [
@@ -199,49 +198,26 @@ class _Splices:
         partition the labels.  The mirror axioms are tested where
         :func:`_splice` shows they can fail, in label order.  Each declared
         class must be the cycle through its least label together with that
-        cycle's mirror, which must be another cycle, and the declared
-        classes must cover every label whose image changed.  Then every
-        other class is an input's: a cycle with no changed label is a
-        cycle of the inputs, and so is its mirror under ``iota``.
+        cycle's mirror, which must be another cycle (``model``'s class walk),
+        and the declared classes must cover every label whose image changed.
+        Then every other class is an input's: a cycle with no changed label
+        is a cycle of the inputs, and so is its mirror under ``iota``.
         """
-        i, t, p = self.iota, self.tau, self.psi
+        i = self.iota
         suspects: set[int] = set()
         for before, changed in self._before.values():
             suspects.update(i[s] for s in changed)
             suspects.update(before[s] for s in changed)
-        for z in sorted(suspects):
-            if t[i[t[i[z]]]] != z:
-                raise HypermapError(f"mirror axiom fails for tau at label {z}")
-            if p[i[p[i[z]]]] != z:
-                raise HypermapError(f"mirror axiom fails for psi at label {z}")
+        _mirror_check(self.tau, self.psi, i, sorted(suspects))
         for name, kind, classes in (("tau", "vertex", vertices),
                                     ("psi", "hyperedge", hyperedges)):
-            img = getattr(self, name)
-            covered: set[int] = set()
-            for labels in classes:
-                covered.update(_checked_class(img, i, labels, kind))
-            if not self._before.get(name, ((), set()))[1] <= covered:
+            classes = list(classes)  # walked only if any: a join declares no hyperedge
+            walked = classes and _paired_classes(getattr(self, name), i, kind,
+                                                 map(min, classes))
+            changed = self._before.get(name, ((), set()))[1]
+            if walked != classes or not changed <= set().union(*walked):
                 raise HypermapError(
                     f"declared {kind} classes disagree with the iota pairing")
-
-
-def _checked_class(img: Sequence[int], iota: Sequence[int],
-                   labels: AbstractSet[int], kind: str) -> Iterable[int]:
-    """``labels``, checked to be the cycle of ``img`` through its least
-    label and the mirror cycle, as ``model._paired_classes`` finds them."""
-    walked: dict[int, None] = {}
-    first = min(labels)
-    for start in (first, iota[first]):
-        if start in walked:  # the mirror lies on the cycle just walked
-            raise SelfPairedOrbit(
-                f"{kind} orbit {tuple(walked)} is its own mirror image under iota")
-        y = start
-        while y not in walked:
-            walked[y] = None
-            y = img[y]
-    if walked.keys() != labels:
-        raise HypermapError(f"declared {kind} classes disagree with the iota pairing")
-    return walked
 
 
 def _carried(sets: Sequence[frozenset[int]], names: Sequence[str],
@@ -343,8 +319,9 @@ def join(h1: Hypermap, c1: CornerRef, h2: Hypermap, c2: CornerRef) -> Hypermap:
 def _normalize_side(h: Hypermap, picks: Sequence[CornerRef]) -> list[CornerRef]:
     """Re-address corners so all picked labels share one orientation side.
 
-    ``label`` and ``iota(tau^-1(label))`` address the same geometric corner
-    from the two sides; face-class membership is unchanged by the swap.
+    ``label`` and ``iota(tau^-1(label)) = tau(iota(label))`` address the
+    same geometric corner from the two sides; face-class membership is
+    unchanged by the swap.
     """
     if not h.is_orientable():
         return list(picks)
@@ -355,8 +332,7 @@ def _normalize_side(h: Hypermap, picks: Sequence[CornerRef]) -> list[CornerRef]:
         if side[c.label] == want:
             out.append(c)
         else:
-            relabeled = h.iota(h.tau.inverse()(c.label))
-            out.append(CornerRef(c.vertex, relabeled))
+            out.append(CornerRef(c.vertex, h.tau(h.iota(c.label))))
     return out
 
 
@@ -368,7 +344,8 @@ def bar_amalgamation(h1: Hypermap, p1: AmalgamationPicks,
     corner label; the connecting hyperedge runs through the first side's
     picks in order and the second side's in reverse.  Picks are normalized
     to a common orientation side per hypermap (the same corners,
-    re-addressed), which keeps the bar untwisted.
+    re-addressed: ``x`` as ``iota(tau^-1(x)) = tau(iota(x))``), which keeps
+    the bar untwisted.
 
     The genus-change count formulas assume picks listed in face-boundary
     order; any order still yields a valid hypermap, but picks running against
@@ -429,7 +406,8 @@ def face_class_of_labels(h: Hypermap, a) -> list[int]:
     orbits of ``then(psi_A, tau)`` grouped into mirror pairs.
     """
     psi_a = psi_restricted(h, a)
-    classes = _paired_classes(psi_a.then(h.tau), psi_a.then(h.iota), "face")
+    classes = _paired_classes(psi_a.then(h.tau).image, psi_a.then(h.iota).image,
+                              "face")
     class_of = [0] * h.n
     for i, labels in enumerate(classes):
         for x in labels:
@@ -490,26 +468,17 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     stars = [paired(a[i], b[i], c[i]) for i in range(3)]
     sp.check([*rewired.values(), u], stars)
 
-    # Drop the six old labels of e, each survivor ranked in label order.
-    # They are one hyperedge class, closed under iota, so each array
-    # restricted to the rest keeps the mirror axioms and the classes lose
-    # just those labels.
+    # Cut the six old labels of e out of tau, each splice leaving one label
+    # of the first cycle and its mirror fixed (psi keeps them as one class),
+    # then drop them, each survivor ranked in label order.
+    for x in l:
+        _splice(sp.tau, sp.iota, sp.tau[x + 18], x + 18)
     dead = sorted(x + 18 for x in h.hyperedge_sets[edge])
     rank = list(range(18))
     for k, d in enumerate(dead):
         rank += range(len(rank) - k, d - k)
         rank.append(-1)
     rank += range(len(rank) - 6, len(sp.tau) - 6)
-
-    def squeeze(img: list[int]) -> list[int]:
-        for d in dead:  # the survivor before d now leads past the dead
-            p = sp.iota[img[sp.iota[d]]]
-            if rank[p] >= 0:
-                y = img[d]
-                while rank[y] < 0:
-                    y = img[y]
-                img[p] = y
-        return cut(list(map(rank.__getitem__, img)))
 
     def cut(values: list, off: int = 0) -> list:
         for d in reversed(dead):
@@ -529,8 +498,8 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
                 fresh_v[x] = gone[vi]
     # x_(i+1), hyperedge h.e - 1 + i, holds the fresh labels 12 - 6i .. 17 - 6i
     fresh_e = [h.e + 1 - x // 6 for x in range(18)]
-    sp.tau, sp.psi = squeeze(sp.tau), squeeze(sp.psi)
-    sp.iota = cut(list(map(rank.__getitem__, sp.iota)))
+    sp.tau, sp.psi, sp.iota = (cut(list(map(rank.__getitem__, img)))
+                               for img in (sp.tau, sp.psi, sp.iota))
     out = _assemble(
         sp,
         ([*vsets, *(frozenset(rank[x] for x in s if rank[x] >= 0)

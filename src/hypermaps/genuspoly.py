@@ -267,9 +267,10 @@ class _Piece(NamedTuple):
     """One join piece, kept on its parent map's labels: the one input of both
     face-count engines.
 
-    ``tau`` is the parent's ``tau`` restricted to each label's own piece
-    (``prev`` its inverse); ``psi`` is the parent's, which keeps every
-    hyperedge, so every piece, whole.  The arrays are shared by all the
+    ``tau`` is the parent's ``tau`` restricted to each label's own piece;
+    ``psi`` and ``iota`` are the parent's, and ``psi`` keeps every
+    hyperedge, so every piece, whole.  The flag axioms hold for the three,
+    so ``tau^-1`` is ``iota tau iota``.  The arrays are shared by all the
     pieces of one map.  ``boxes`` holds the counted labels of each of the
     piece's hyperedges, in order of least label, and ``const`` is
     ``2c - e + sum_n`` of the piece; ``box_of`` gives the index of each
@@ -278,7 +279,7 @@ class _Piece(NamedTuple):
 
     labels: Sequence[int]  # the piece's labels, ascending
     tau: Sequence[int]
-    prev: Sequence[int]
+    iota: Sequence[int]
     psi: Sequence[int]
     boxes: list[list[int]]
     box_of: Sequence[int]
@@ -300,7 +301,7 @@ def _whole(h: Hypermap) -> _Piece:
     halve = not cb.orientable
     side = h.sides()
     boxes = [[x for x in s if halve or side[x] == side[0]] for s in h.hyperedge_sets]
-    return _Piece(range(h.n), h.tau.image, h.tau.inverse().image, h.psi.image,
+    return _Piece(range(h.n), h.tau.image, h.iota.image, h.psi.image,
                   boxes, h._hyperedge_of, halve, 2 * cb.c - cb.e + cb.sum_n)
 
 
@@ -488,8 +489,8 @@ class _Frontier:
         """Count on the piece's boxes, wired by its ``tau`` and ``psi``.  Each
         f(A) + f(A^c) is halved if ``piece.halve``, and the polynomial's
         exponents are ``piece.const`` minus it."""
-        tau, prev, boxes, box_of = piece.tau, piece.prev, piece.boxes, piece.box_of
-        self.tau, self.prev, self.psi = tau, prev, piece.psi
+        tau, iota, boxes, box_of = piece.tau, piece.iota, piece.boxes, piece.box_of
+        self.tau, self.iota, self.psi = tau, iota, piece.psi
         self.halve, self.const = piece.halve, piece.const
         # the change in crossing wires if box i came next: its wires to other
         # boxes become crossing, those to placed boxes stop crossing
@@ -511,7 +512,7 @@ class _Frontier:
             self.boxes.append(boxes[i])
             self.widths.append(cross // 2)  # as many paths leave as enter
             for x in boxes[i]:
-                for y in (tau[x], prev[x]):
+                for y in (tau[x], iota[tau[iota[x]]]):
                     if box_of[y] in left:
                         delta[box_of[y]] -= 2
 
@@ -535,7 +536,7 @@ class _Frontier:
         return ports, visits
 
     def polynomial(self) -> GenusPolynomial:
-        tau, prev, psi = self.tau, self.prev, self.psi
+        tau, iota, psi = self.tau, self.iota, self.psi
         ident = range(len(tau))
         placed = [False] * len(tau)
         keys: list[int] = []  # outside labels whose wire enters, one per path
@@ -554,9 +555,10 @@ class _Frontier:
             starts = [(k, -1) for k, y in enumerate(keys) if y not in inbox]
             keys = [y for y in keys if y not in inbox]
             for x in box:
-                if not placed[prev[x]]:
+                y = iota[tau[iota[x]]]  # the label before x
+                if not placed[y]:
                     starts.append((-1, x))
-                    keys.append(prev[x])
+                    keys.append(y)
             memo: dict[tuple, tuple[tuple[int, ...], int]] = {}
 
             def walk(ends: tuple[int, ...], g) -> tuple[tuple[int, ...], int]:
@@ -804,13 +806,11 @@ def _pieces(h: Hypermap, piece: list[int], count: int,
     restricted = Permutation._of(tau_in)
     # the mirror axiom makes tau_in onto, so a bijection
     _axiom_check(restricted, h.psi, h.iota)
-    prev = [0] * n
     cycle = [-1] * n  # the least label of each tau_in cycle
     for first in range(n):
         x = first
         while cycle[x] == -1:
             cycle[x] = first
-            prev[tau_in[x]] = x
             x = tau_in[x]
     side = _orbit_sides(restricted, h.psi)
     twisted = [False] * count
@@ -847,7 +847,7 @@ def _pieces(h: Hypermap, piece: list[int], count: int,
         box_of[x] = i
         if twisted[p] or side[x] == counted[p]:
             boxes[p][i].append(x)
-    return [_Piece(labels[p], tau_in, prev, psi, boxes[p], box_of, twisted[p],
+    return [_Piece(labels[p], tau_in, iota, psi, boxes[p], box_of, twisted[p],
                    2 - len(boxes[p]) + len(labels[p]) // 2)
             for p in range(count)]
 
@@ -876,12 +876,9 @@ class EnumerationResult:
     workers: int  # the worker count, after EngineConfig.workers' cap
 
     def as_dict(self) -> dict:
-        rep = spectrum_report(self.polynomial)
         out = {
             "polynomial": self.polynomial.as_json_dict(),
-            "spectrum": list(rep.spectrum),
-            "gaps": [list(g) for g in rep.gaps],
-            "interpolating": rep.interpolating,
+            **spectrum_report(self.polynomial).as_dict(),
             "engine": self.engine,
             "subsets": self.subsets,
             "blocks": list(self.blocks),
@@ -893,9 +890,8 @@ class EnumerationResult:
         if self.engines_agree is not None:
             out["engines_agree"] = self.engines_agree
         if self.gamma_polynomial is not None:
-            grep = spectrum_report(self.gamma_polynomial)
             out["gamma_polynomial"] = self.gamma_polynomial.as_json_dict()
-            out["gamma_spectrum"] = list(grep.spectrum)
+            out["gamma_spectrum"] = list(spectrum_report(self.gamma_polynomial).spectrum)
         return out
 
 

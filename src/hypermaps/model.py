@@ -6,11 +6,15 @@ the fixed-point-free side-pairing involution that conjugates both ``tau`` and
 ``psi`` to their inverses.  Vertices and hyperedges are pairs of mirror
 orbits; every count (v, e, f, incidence sum, Euler characteristic, Euler
 genus, components, orientability) derives from the triple.
+
+The mirror rules live here, once each: :func:`_mirror_check` tests the
+mirror axioms and :func:`_paired_classes` walks mirror pairs of cycles, on
+every label here and on the labels their edits touch in ``constructions``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -49,16 +53,7 @@ class CountsBundle:
     orientable: bool
 
     def as_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "e": self.e,
-            "f": self.f,
-            "sum_n": self.sum_n,
-            "chi": self.chi,
-            "eps": self.eps,
-            "c": self.c,
-            "orientable": self.orientable,
-        }
+        return asdict(self)
 
 
 def _axiom_check(tau: Permutation, psi: Permutation, iota: Permutation) -> None:
@@ -69,9 +64,14 @@ def _axiom_check(tau: Permutation, psi: Permutation, iota: Permutation) -> None:
         raise HypermapError(f"label universe must be even, got {n}")
     if not iota.is_involution() or not iota.is_fixed_point_free():
         raise HypermapError("iota must be a fixed-point-free involution")
-    # iota(tau(iota(x))) == tau^-1(x) exactly when tau maps that label back to x
-    t, p, i = tau.image, psi.image, iota.image
-    for x in range(n):
+    _mirror_check(tau.image, psi.image, iota.image, range(n))
+
+
+def _mirror_check(t: Sequence[int], p: Sequence[int], i: Sequence[int],
+                  labels: Iterable[int]) -> None:
+    """The mirror axioms on image lists at ``labels``, in order: ``iota tau
+    iota`` is ``tau^-1`` at ``x`` exactly when ``tau`` maps it back to ``x``."""
+    for x in labels:
         if t[i[t[i[x]]]] != x:
             raise HypermapError(f"mirror axiom fails for tau at label {x}")
         if p[i[p[i[x]]]] != x:
@@ -108,16 +108,15 @@ def _component_keys(side: Sequence[int], iota: Permutation) -> list[int]:
     return [min(s, side[y]) for s, y in zip(side, iota.image)]
 
 
-def _paired_classes(perm: Permutation, iota: Permutation, kind: str):
-    """Group the orbits of ``perm`` into mirror pairs under ``iota``.
-
-    Returns a list of frozensets (one per class, ordered by smallest label).
-    A self-paired orbit is rejected.  ``iota`` must map orbits onto orbits.
-    """
-    img, mirror = perm.image, iota.image
+def _paired_classes(img: Sequence[int], mirror: Sequence[int], kind: str,
+                    starts: Iterable[int] | None = None):
+    """Group the orbits of the image list ``img`` into mirror pairs under
+    ``mirror``: a frozenset per class, through each of ``starts`` not yet
+    walked, in that order (default: every class, by smallest label).  A
+    self-paired orbit is rejected.  ``mirror`` must map orbits onto orbits."""
     mark = [False] * len(img)
     classes = []
-    for start in range(len(img)):
+    for start in range(len(img)) if starts is None else starts:
         if mark[start]:
             continue
         labels = []
@@ -208,8 +207,8 @@ class Hypermap:
                 )
             return sets
 
-        vsets = settle(_paired_classes(tau, iota, "vertex"), vertex_sets, "vertex")
-        esets = settle(_paired_classes(psi, iota, "hyperedge"), hyperedge_sets,
+        vsets = settle(_paired_classes(tau.image, iota.image, "vertex"), vertex_sets, "vertex")
+        esets = settle(_paired_classes(psi.image, iota.image, "hyperedge"), hyperedge_sets,
                        "hyperedge")
         n = tau.size
         if sum(len(s) for s in esets) != n:
@@ -474,13 +473,10 @@ class Hypermap:
 
     def canonical_form(self) -> "Hypermap":
         """Relabel into the canonical representative of the isomorphism class."""
-        parts = sorted(
-            (self._component_signature(lbls) for lbls in self._component_labels())
-        )
         tau_img: list[int] = []
         psi_img: list[int] = []
         iota_img: list[int] = []
-        for tau_sig, psi_sig, iota_sig in parts:
+        for tau_sig, psi_sig, iota_sig in self.canonical_signature():
             off = len(tau_img)
             tau_img.extend(x + off for x in tau_sig)
             psi_img.extend(x + off for x in psi_sig)

@@ -189,13 +189,13 @@ def fig7_gamma_advisory() -> dict:
     }
 
 
-def verify_bundled(subset_cap: int = 12) -> dict:
+def verify_bundled() -> dict:
     """The full bundled verification suite: examples, families, theorems."""
     entries: list[dict] = []
 
     for name, h in (("plane", plane_example()), ("torus", torus_example()),
                     ("fig7", fig7_example())):
-        rep = verify_hypermap(h, subset_cap=subset_cap)
+        rep = verify_hypermap(h)
         entries.append(_entry(f"identity suite on the {name} example", rep["ok"],
                               None if rep["ok"] else rep))
 

@@ -5,6 +5,7 @@ import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from hypermaps.generators import fig7_example, ladder
 from hypermaps.hmf import read_hmf, write_hmf
 
 from conftest import RecordingPool
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(capsys, *argv):
@@ -300,6 +303,25 @@ def test_check_single_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
+
+
+def test_the_subset_cap_applies_to_the_files_checked_only(capsys):
+    # the bundled suite checks fixed maps of at most four hyperedges
+    code, out, _ = invoke(capsys, "check", "--subset-cap", "3")
+    assert code == 0
+    assert out == (DATA / "bundled.check.txt").read_text()
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys, tmp_path):
+    for argv, code in ((["hm", "check"], 0),
+                       (["hm", "check", str(tmp_path / "missing.hmf")], 1)):
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out == (DATA / "bundled.check.txt").read_text()
+    assert json.loads(err)["error"] == "io"
 
 
 def test_check_corrupted_file(capsys, tmp_path):

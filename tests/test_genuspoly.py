@@ -1,11 +1,14 @@
 """Polynomial arithmetic, spectra, and the enumeration engines."""
 
+import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hypermaps.constructions as constructions
 import hypermaps.genuspoly as gp
 from hypermaps.errors import (
     CoefficientOverflow,
@@ -41,7 +44,9 @@ from hypermaps.generators import (
     star,
     torus_example,
 )
+from hypermaps.hmf import read_hmf, write_hmf
 from hypermaps.model import Hypermap, disjoint_union
+from hypermaps.verify import verify_hypermap
 from hypermaps.perm import Permutation
 from hypermaps.walsh import (
     BipartiteEdge,
@@ -709,6 +714,31 @@ def test_pieces_build_no_map_in_either_engine(monkeypatch):
     res = enumerate_partial_duals(k)
     assert res.polynomial == want[1]
     assert sorted(zip(res.blocks, res.block_engines)) == [(3, "frontier"), (10, "kernel")]
+
+
+def test_nothing_inverts_tau_on_the_counting_and_construction_paths(monkeypatch, fig7):
+    # the flag axioms give tau^-1 as iota tau iota, so no path below builds
+    # an inverse: not the whole-map piece, the split pieces, the corner
+    # re-addressing of a bar, nor the invariance entry of a check
+    def inverse(self):
+        raise AssertionError("tau was inverted")
+
+    data = Path(__file__).parent / "data"
+    split = read_hmf((data / "poly_join_0.hmf").read_text())
+    split_poly = json.loads((data / "poly_join_0.poly.json").read_text())["polynomial"]
+    side = fig7.sides()
+    far = next(x for x in sorted(fig7.vertex_sets[1]) if side[x] != side[0])
+    picks = AmalgamationPicks((CornerRef(0, 0), CornerRef(1, far)))
+    bar = write_hmf(bar_amalgamation(fig7, picks, fig7, picks))
+    checked = json.loads((data / "fig7.check.txt").read_text())["results"][0]
+    del checked["input"]
+    monkeypatch.setattr(Permutation, "inverse", inverse)
+    assert euler_genus_polynomial(ladder(8)) == closed_form("ladder", 8)
+    assert len(gp._join_blocks(split)) > 1
+    assert euler_genus_polynomial(split).as_json_dict() == split_poly
+    assert constructions._normalize_side(fig7, picks.picks)[1].label != far
+    assert write_hmf(bar_amalgamation(fig7, picks, fig7, picks)) == bar
+    assert json.loads(json.dumps(verify_hypermap(fig7))) == checked
 
 
 # -- the frontier engine and the engine of each block ------------------------------
