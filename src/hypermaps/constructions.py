@@ -500,6 +500,10 @@ def subdivide3(h: Hypermap, edge: int) -> Hypermap:
     fresh_e = [h.e + 1 - x // 6 for x in range(18)]
     sp.tau, sp.psi, sp.iota = (cut(list(map(rank.__getitem__, img)))
                                for img in (sp.tau, sp.psi, sp.iota))
+    # an image ranked -1 is a dropped label still referenced: a bad cut,
+    # whose arrays would not be permutations
+    if any(-1 in img for img in (sp.tau, sp.psi, sp.iota)):
+        raise HypermapError("subdivision left an image on a dropped label")
     out = _assemble(
         sp,
         ([*vsets, *(frozenset(rank[x] for x in s if rank[x] >= 0)

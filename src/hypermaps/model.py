@@ -14,6 +14,7 @@ every label here and on the labels their edits touch in ``constructions``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Sequence
@@ -113,8 +114,9 @@ def _paired_classes(img: Sequence[int], mirror: Sequence[int], kind: str,
     """Group the orbits of the image list ``img`` into mirror pairs under
     ``mirror``: a frozenset per class, through each of ``starts`` not yet
     walked, in that order (default: every class, by smallest label).  A
-    self-paired orbit is rejected.  ``mirror`` must map orbits onto orbits."""
-    mark = [False] * len(img)
+    self-paired orbit is rejected.  ``mirror`` must map orbits onto orbits.
+    Given ``starts``, the walk marks in a dict and costs the labels walked."""
+    mark = [False] * len(img) if starts is None else defaultdict(bool)
     classes = []
     for start in range(len(img)) if starts is None else starts:
         if mark[start]:
@@ -546,48 +548,50 @@ def _cycle_images(pairs, n: int, kind: str) -> tuple[Permutation, list[int]]:
     return Permutation._of(img), cyc
 
 
-def _cycle_numbers(pairs, n: int) -> list[int]:
-    """The cycle of every label, numbered as :func:`_cycle_images` does."""
-    cyc = [-1] * n
-    for k, (a, b) in enumerate(pairs):
-        for x in a:
-            cyc[x] = 2 * k
-        for x in b:
-            cyc[x] = 2 * k + 1
-    return cyc
-
-
 def solve_iota(tau: Permutation, psi: Permutation,
                vertex_pairs, hyperedge_pairs) -> Permutation:
     """Solve for a side pairing consistent with the declared cycle pairs.
 
     The pairing must be a fixed-point-free involution satisfying
     ``iota(tau(x)) = tau^-1(iota(x))`` and ``iota(psi(x)) = psi^-1(iota(x))``
-    and mapping every declared cycle onto its partner.  Deterministic:
-    the smallest unassigned label is bound first, candidates in increasing
-    order, constraints propagated, with backtracking on conflict.
+    and mapping every declared cycle onto its partner.
+
+    One pass over the labels, with no backtracking.  The least unbound
+    label ``x`` tries the labels of the partner of its vertex cycle in
+    increasing order; the first whose propagation succeeds is kept, and a
+    failed propagation undoes its own bindings.  A propagation from ``x``
+    binds exactly two ``<tau, psi>`` orbits: ``x``'s, and the one holding
+    the partner of ``x``'s vertex cycle, which the declaration fixes
+    whatever the candidate.  So every label meets the same unbound labels
+    whatever was chosen before it, going back to an earlier choice can never
+    turn a failure into a success, and the result is the least valid
+    pairing.  Each orbit pair is solved once, by at most one try per
+    candidate, each try walking the two orbits.
     """
     n = tau.size
     # y may pair with x only on the partner cycles of x's two cycles: the
     # partner of cycle c is c ^ 1
-    vcyc, ecyc = _cycle_numbers(vertex_pairs, n), _cycle_numbers(hyperedge_pairs, n)
+    vcyc = _cycle_images(vertex_pairs, n, "vertex")[1]
+    ecyc = _cycle_images(hyperedge_pairs, n, "hyperedge")[1]
     vcycles = [c for pair in vertex_pairs for c in pair]
     t, p = tau.image, psi.image
     t_inv, p_inv = tau.inverse().image, psi.inverse().image
     iota = [-1] * n
 
-    def assign(x: int, y: int, trail: list[int]) -> bool:
-        """Bind iota(x) = y and propagate; False on conflict."""
+    def assign(x: int, y: int) -> bool:
+        """Bind iota(x) = y and propagate; on conflict undo the bindings
+        this made and return False."""
+        trail = []
         stack = [(x, y)]
         while stack:
             x, y = stack.pop()
-            if iota[x] != -1:
-                if iota[x] != y:
-                    return False
+            if iota[x] == y:
                 continue
-            if x == y or iota[y] not in (-1, x):
-                return False
-            if vcyc[y] != vcyc[x] ^ 1 or ecyc[y] != ecyc[x] ^ 1:
+            if (iota[x] != -1 or x == y or iota[y] != -1
+                    or vcyc[y] != vcyc[x] ^ 1 or ecyc[y] != ecyc[x] ^ 1):
+                for x in trail:
+                    iota[iota[x]] = -1
+                    iota[x] = -1
                 return False
             iota[x] = y
             iota[y] = x
@@ -596,41 +600,12 @@ def solve_iota(tau: Permutation, psi: Permutation,
                       (t[y], t_inv[x]), (p[y], p_inv[x]))
         return True
 
-    def undo(trail: list[int]) -> None:
-        for x in trail:
-            y = iota[x]
-            iota[x] = -1
-            iota[y] = -1
-
-    def unbound_from(x: int) -> int:
-        while x < n and iota[x] != -1:
-            x += 1
-        return x
-
-    def level(x: int):
-        """A search level: label ``x``, its untried candidates, and the
-        bindings made by the candidate being tried."""
-        mate = ecyc[x] ^ 1
+    for x in range(n):
+        if iota[x] != -1:
+            continue
         partners = vcycles[vcyc[x] ^ 1] if vcyc[x] != -1 else ()
-        return x, iter(sorted(y for y in partners if ecyc[y] == mate)), []
-
-    # Depth-first search on an explicit stack.  Every label below a level's
-    # label is bound, so the next level's label is found by scanning forward.
-    x = unbound_from(0)
-    levels = [level(x)] if x < n else []
-    while x < n:
-        if not levels:
+        if not any(assign(x, y) for y in sorted(partners)):
             raise IotaUnsolvable("no side pairing satisfies the mirror constraints")
-        x, candidates, trail = levels[-1]
-        undo(trail)
-        trail.clear()
-        y = next((y for y in candidates if iota[y] == -1), None)
-        if y is None:
-            levels.pop()
-        elif assign(x, y, trail):
-            x = unbound_from(x + 1)
-            if x < n:
-                levels.append(level(x))
     return Permutation(iota)
 
 

@@ -15,6 +15,7 @@ import hypermaps.genuspoly as gp
 import hypermaps.duality as duality
 import hypermaps.verify as verify
 from hypermaps.cli import run
+from hypermaps.errors import IotaUnsolvable
 from hypermaps.generators import fig7_example, ladder
 from hypermaps.hmf import read_hmf, write_hmf
 
@@ -232,6 +233,19 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "DuplicateLabel"
+
+
+def test_iota_unsolvable_after_many_solvable_components(capsys):
+    # 40 components with two side pairings each, then one with none: the
+    # solver binds each orbit pair once, so no earlier choice is retried
+    path = DATA / "iota_unsolvable_last.hmf"
+    message = "no side pairing satisfies the mirror constraints"
+    with pytest.raises(IotaUnsolvable) as exc:
+        read_hmf(path.read_text())
+    assert str(exc.value) == message
+    code, out, err = invoke(capsys, "info", str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "IotaUnsolvable", "message": message}
 
 
 _BODY = "vertex v (1) (2)\nhyperedge e (1) (2)\n"

@@ -538,6 +538,29 @@ def test_a_self_paired_cycle_is_caught():
         Hypermap.from_flags(Permutation(sp.tau), Permutation(sp.psi), Permutation(sp.iota))
 
 
+@pytest.mark.parametrize("h", [fig7_example(), cycle_hypertree(3)],
+                         ids=["fig7", "cycle_hypertree3"])
+def test_a_cut_that_leaves_an_old_label_is_caught(monkeypatch, h):
+    # a subdivision that cuts only two of the three old labels out of tau
+    # leaves images on a dropped label; it raises before a map is made, so
+    # nothing walks arrays that are not permutations
+    splice = constructions._splice
+    skipped = []
+
+    def skips_the_first_cut(img, iota, x, y):
+        if not skipped and x == img[y]:  # only the cut splices y after img[y]
+            skipped.append(y)
+            return ()
+        return splice(img, iota, x, y)
+
+    monkeypatch.setattr(constructions, "_splice", skips_the_first_cut)
+    for edge in range(h.e):
+        skipped.clear()
+        with pytest.raises(HypermapError, match="dropped label"):
+            subdivide3(h, edge)
+        assert skipped
+
+
 # -- pinned output -------------------------------------------------------------
 
 

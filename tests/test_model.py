@@ -101,17 +101,19 @@ def test_solver_solvable_when_aligned():
 
 
 def _random_declaration(seed: int):
-    """Random vertex and hyperedge cycle pairs on at most 8 labels, which
-    split into two blocks of interleaved labels that no pair crosses."""
+    """Random vertex and hyperedge cycle pairs on at most 10 labels, which
+    split into up to three blocks of interleaved labels that no pair
+    crosses, so an unsolvable block can follow solvable ones."""
     rng = random.Random(seed)
-    n = 2 * rng.randint(1, 4)
+    n = 2 * rng.randint(1, 5)
     labels = list(range(n))
     rng.shuffle(labels)
-    cut = 2 * rng.randint(0, n // 2)
+    cuts = sorted(2 * rng.randint(0, n // 2) for _ in range(2))
+    blocks = (labels[:cuts[0]], labels[cuts[0]:cuts[1]], labels[cuts[1]:])
 
     def pairs():
         out = []
-        for block in (labels[:cut], labels[cut:]):
+        for block in blocks:
             block = block[:]
             rng.shuffle(block)
             while block:
